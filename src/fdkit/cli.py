@@ -152,7 +152,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("instance", metavar="FILE", help="instance file")
     p.set_defaults(func=_cmd_reduce, command_name="reduce")
 
-    p = sub.add_parser("oracle", parents=[common], help="instance-based oracles")
+    p = sub.add_parser("oracle", help="instance-based oracles")
     osub = p.add_subparsers(dest="oracle_command", metavar="ORACLE")
     oi = osub.add_parser("implies", parents=[common], help="brute-force implication check")
     oi.add_argument("fd", metavar="FD", help="dependency such as 'A, B -> C'")
@@ -424,3 +424,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -8,10 +8,8 @@ always produce equal outputs.
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .errors import LimitExceededError
-from .fds import FD, AttributeSet, AttrsLike, FDSet, _close
+from .errors import check_limit
+from .fds import FD, AttributeSet, AttrsLike, FDSet, _close, _subsets
 
 __all__ = [
     "reduced_cover",
@@ -94,15 +92,7 @@ def minimum_cover(sigma: FDSet) -> FDSet:
             closed = FD(fd.lhs, sigma.closure(fd.lhs))
             if closed not in work:
                 work.append(closed)
-    i = 0
-    while i < len(work):
-        fd = work[i]
-        rest = work[:i] + work[i + 1 :]
-        if fd.rhs.members <= _close(rest, fd.lhs):
-            work = rest
-        else:
-            i += 1
-    return FDSet(work, universe=sigma.universe)
+    return nonredundant_cover(FDSet(work, universe=sigma.universe))
 
 
 def project_fds(
@@ -121,23 +111,14 @@ def project_fds(
     """
     x = AttributeSet(x)
     sigma._require_members(x, "projection attributes")
-    if len(x) > limit:
-        raise LimitExceededError(
-            f"projection over {len(x)} attributes exceeds the limit of {limit}"
-        )
-    members = tuple(x)
+    check_limit("projection", len(x), limit)
     out = []
-    for size in range(len(members) + 1):
-        for combo in combinations(members, size):
-            s = AttributeSet(combo)
-            image = sigma.closure(s) & x
-            rhs = image - s
-            if not rhs:
-                continue
-            reducible = any(
-                (sigma.closure(s - AttributeSet([a])) & x) >= image for a in s
-            )
-            if reducible:
-                continue
-            out.append(FD(s, rhs))
+    for s in _subsets(x):
+        image = sigma.closure(s) & x
+        rhs = image - s
+        if not rhs:
+            continue
+        if any((sigma.closure(s - AttributeSet([a])) & x) >= image for a in s):
+            continue
+        out.append(FD(s, rhs))
     return nonredundant_cover(FDSet(out, universe=x))

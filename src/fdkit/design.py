@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional
 
 from .covers import canonical_cover, nonredundant_cover, project_fds, reduced_cover
-from .errors import LimitExceededError, UniverseMismatchError, UnknownAttributeError
-from .fds import Attribute, AttributeSet, AttrsLike, FDSet
+from .errors import UniverseMismatchError, UnknownAttributeError, check_limit
+from .fds import Attribute, AttributeSet, AttrsLike, FDSet, _subsets
 from .instances import Relation, is_lossless_on, random_satisfying_instance
 
 __all__ = [
@@ -215,19 +214,13 @@ def enumerate_keys(
     already found, so everything kept is minimal.  Exponential by design;
     schemes beyond ``limit`` attributes are refused.
     """
-    attrs = tuple(scheme.attrs)
-    if len(attrs) > limit:
-        raise LimitExceededError(
-            f"key enumeration over {len(attrs)} attributes exceeds the limit of {limit}"
-        )
+    check_limit("key enumeration", len(scheme.attrs), limit)
     keys: list = []
-    for size in range(len(attrs) + 1):
-        for combo in combinations(attrs, size):
-            s = AttributeSet(combo)
-            if any(k <= s for k in keys):
-                continue
-            if scheme.attrs <= sigma.closure(s):
-                keys.append(s)
+    for s in _subsets(scheme.attrs):
+        if any(k <= s for k in keys):
+            continue
+        if scheme.attrs <= sigma.closure(s):
+            keys.append(s)
     return frozenset(keys)
 
 
@@ -244,19 +237,47 @@ def is_prime(
     return any(a in key for key in enumerate_keys(scheme, sigma, limit))
 
 
-def _first_bcnf_violation(scheme: RelationScheme, sigma: FDSet):
+def _first_violation(scheme: RelationScheme, sigma: FDSet, limit: int, nonprime_only: bool):
     """First determinant of the scheme that is not a superkey, scanning
     subsets in (size, canonical) order.  Returns (determinant, dependents)
-    or None."""
-    attrs = tuple(scheme.attrs)
+    or None.
+
+    With ``nonprime_only`` a determinant counts only when it determines a
+    nonprime attribute of the scheme, and the dependents shrink to the
+    first such attribute: the definition of 3NF, checked directly.  The
+    primes are computed once, at the first non-superkey determinant.
+    """
     full = scheme.attrs
-    for size in range(len(attrs) + 1):
-        for combo in combinations(attrs, size):
-            x = AttributeSet(combo)
-            inside = sigma.closure(x) & full
-            if x < inside and inside < full:
-                return x, inside - x
+    primes = None
+    for x in _subsets(full):
+        inside = sigma.closure(x) & full
+        if not x < inside < full:
+            continue
+        dependents = inside - x
+        if nonprime_only:
+            if primes is None:
+                primes = {a for key in enumerate_keys(scheme, sigma, limit) for a in key}
+            nonprime = [a for a in dependents if a not in primes]
+            if not nonprime:
+                continue
+            dependents = AttributeSet(nonprime[:1])
+        return x, dependents
     return None
+
+
+def _check_normal_form(schema: DatabaseSchema, limit: int, form: str) -> NormalFormReport:
+    """Report the first violation of ``form`` ("bcnf" or "3nf") in each
+    scheme, refusing schemes beyond ``limit`` attributes."""
+    sigma = schema.global_fds()
+    nonprime_only = form == "3nf"
+    reason = "nonprime-dependent" if nonprime_only else "determinant-not-superkey"
+    witnesses = []
+    for index, scheme in enumerate(schema.schemes):
+        check_limit(f"{form.upper()} check of scheme {index}", len(scheme.attrs), limit)
+        found = _first_violation(scheme, sigma, limit, nonprime_only)
+        if found is not None:
+            witnesses.append(Violation(index, *found, reason))
+    return NormalFormReport(form, not witnesses, tuple(witnesses))
 
 
 def check_bcnf(schema: DatabaseSchema, limit: int = DEFAULT_SEARCH_LIMIT) -> NormalFormReport:
@@ -265,59 +286,23 @@ def check_bcnf(schema: DatabaseSchema, limit: int = DEFAULT_SEARCH_LIMIT) -> Nor
     Implication runs against the schema's combined dependency set.  The
     subset scan is exponential in scheme width (the question itself is
     NP-complete), so schemes beyond ``limit`` attributes are refused.
+    Each witness is the scheme's first non-superkey determinant in
+    (size, canonical) subset order, with everything it determines there.
     """
-    sigma = schema.global_fds()
-    witnesses = []
-    for index, scheme in enumerate(schema.schemes):
-        if len(scheme.attrs) > limit:
-            raise LimitExceededError(
-                f"scheme {index} has {len(scheme.attrs)} attributes, "
-                f"exceeding the search limit of {limit}"
-            )
-        found = _first_bcnf_violation(scheme, sigma)
-        if found is not None:
-            x, dependents = found
-            witnesses.append(
-                Violation(index, x, dependents, "determinant-not-superkey")
-            )
-    return NormalFormReport("bcnf", not witnesses, tuple(witnesses))
+    return _check_normal_form(schema, limit, "bcnf")
 
 
 def check_3nf(schema: DatabaseSchema, limit: int = DEFAULT_SEARCH_LIMIT) -> NormalFormReport:
     """Report whether any scheme has a non-superkey determinant of a
     nonprime attribute.
 
-    Each scheme is checked through a canonical cover of the global
-    dependencies projected onto it: a dependency ``X -> A`` there is a
-    violation exactly when ``X`` is not a superkey and ``A`` is not prime.
+    The same subset scan as :func:`check_bcnf`, keeping only determinants
+    that determine a nonprime attribute inside the scheme: each witness
+    is the first such determinant in (size, canonical) subset order, and
+    its dependent is the first such attribute.  Schemes beyond ``limit``
+    attributes are refused.
     """
-    sigma = schema.global_fds()
-    witnesses = []
-    for index, scheme in enumerate(schema.schemes):
-        if len(scheme.attrs) > limit:
-            raise LimitExceededError(
-                f"scheme {index} has {len(scheme.attrs)} attributes, "
-                f"exceeding the search limit of {limit}"
-            )
-        delta = canonical_cover(project_fds(sigma, scheme.attrs, limit=max(limit, len(scheme.attrs))))
-        primes = None
-        for fd in delta:
-            (a,) = tuple(fd.rhs)
-            if a in fd.lhs:
-                continue
-            if is_superkey(scheme, sigma, fd.lhs):
-                continue
-            if primes is None:
-                primes = AttributeSet()
-                for key in enumerate_keys(scheme, sigma, limit):
-                    primes = primes | key
-            if a in primes:
-                continue
-            witnesses.append(
-                Violation(index, fd.lhs, AttributeSet([a]), "nonprime-dependent")
-            )
-            break
-    return NormalFormReport("3nf", not witnesses, tuple(witnesses))
+    return _check_normal_form(schema, limit, "3nf")
 
 
 def bcnf_decompose(schema: DatabaseSchema, limit: int = DEFAULT_SEARCH_LIMIT) -> DatabaseSchema:
@@ -338,22 +323,17 @@ def bcnf_decompose(schema: DatabaseSchema, limit: int = DEFAULT_SEARCH_LIMIT) ->
     i = 0
     while i < len(schemes):
         scheme = schemes[i]
-        if len(scheme.attrs) > limit:
-            raise LimitExceededError(
-                f"scheme {i} has {len(scheme.attrs)} attributes, "
-                f"exceeding the search limit of {limit}"
-            )
-        found = _first_bcnf_violation(scheme, sigma)
+        check_limit(f"BCNF decomposition of scheme {i}", len(scheme.attrs), limit)
+        found = _first_violation(scheme, sigma, limit, nonprime_only=False)
         if found is None:
             i += 1
             continue
         x, dependents = found
         part1 = x | dependents
         part2 = scheme.attrs - dependents
-        plimit = max(limit, len(scheme.attrs))
         schemes[i : i + 1] = [
-            RelationScheme(part1, project_fds(sigma, part1, limit=plimit)),
-            RelationScheme(part2, project_fds(sigma, part2, limit=plimit)),
+            RelationScheme(part1, project_fds(sigma, part1, limit=limit)),
+            RelationScheme(part2, project_fds(sigma, part2, limit=limit)),
         ]
     return DatabaseSchema(tuple(schemes))
 
@@ -377,14 +357,14 @@ def synthesize_3nf(
     are merged, exact duplicates collapse, and schemes whose attributes
     sit inside another scheme's are dropped (the key scheme included);
     ``verbatim=True`` skips all of that clean-up and returns the raw
-    per-dependency output.
+    per-dependency output.  Projection is exponential in scheme width, so
+    an emitted scheme beyond ``limit`` attributes is refused.
     """
     delta = nonredundant_cover(reduced_cover(canonical_cover(universal.fds)))
     key = find_key(universal, delta)
-    plimit = max(limit, len(universal.attrs))
 
     def scheme_for(attrs: AttributeSet) -> RelationScheme:
-        return RelationScheme(attrs, project_fds(delta, attrs, limit=plimit))
+        return RelationScheme(attrs, project_fds(delta, attrs, limit=limit))
 
     if verbatim:
         schemes = [scheme_for(fd.lhs | fd.rhs) for fd in delta]

@@ -31,6 +31,19 @@ class LimitExceededError(FDKitError):
     configured size limit.  This is a refusal, never a wrong answer."""
 
 
+def check_limit(operation: str, size: int, limit: int) -> None:
+    """Refuse an exponential search whose input is larger than ``limit``.
+
+    ``size`` counts what the search is exponential in: attributes, or
+    ground elements for the hitting-set search.  The message names the
+    operation, the size and the limit.
+    """
+    if size > limit:
+        raise LimitExceededError(
+            f"{operation} refused: size {size} exceeds the limit of {limit}"
+        )
+
+
 class CoverageError(FDKitError, ValueError):
     """A decomposition's parts do not cover the relation scheme."""
 

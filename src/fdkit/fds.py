@@ -14,6 +14,7 @@ threads.
 from __future__ import annotations
 
 import re
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import UnknownAttributeError, UniverseMismatchError
@@ -235,6 +236,17 @@ def _close(fds: Sequence[FD], seed: Iterable[Attribute]) -> set:
                         reached.add(b)
                         queue.append(b)
     return reached
+
+
+def _subsets(attrs: AttributeSet) -> Iterator[AttributeSet]:
+    """Every subset of ``attrs`` in (size, canonical) order: smaller
+    subsets first, and subsets of one size in lexicographic name order.
+    Every subset-lattice search scans this order, which fixes the witness
+    it reports first."""
+    members = tuple(attrs)
+    for size in range(len(members) + 1):
+        for combo in combinations(members, size):
+            yield AttributeSet._from_frozen(frozenset(combo))
 
 
 class FDSet:

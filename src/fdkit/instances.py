@@ -18,9 +18,9 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     CoverageError,
-    LimitExceededError,
     RelationFormatError,
     UnknownAttributeError,
+    check_limit,
 )
 from .fds import FD, Attribute, AttributeSet, AttrsLike, FDSet
 
@@ -317,10 +317,7 @@ def oracle_implies(sigma: FDSet, fd: FD, limit: int = DEFAULT_ORACLE_LIMIT) -> b
     """
     sigma._require_members(fd.attributes, "dependency attributes")
     n = len(sigma.universe)
-    if n > limit:
-        raise LimitExceededError(
-            f"oracle over {n} attributes exceeds the limit of {limit}"
-        )
+    check_limit("implication oracle", n, limit)
     position = {a: i for i, a in enumerate(sigma.universe)}
 
     def mask(attrs: AttributeSet) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .design import DatabaseSchema, RelationScheme
-from .errors import InstanceFormatError, LimitExceededError, ReservedNameError
+from .errors import InstanceFormatError, ReservedNameError, check_limit
 from .fds import FD, Attribute, AttributeSet, FDSet
 
 __all__ = [
@@ -112,10 +112,7 @@ def solve_hitting_set(
     only hit more.  Exhaustive, so grounds beyond ``limit`` elements are
     refused.
     """
-    if len(instance.ground) > limit:
-        raise LimitExceededError(
-            f"ground set of {len(instance.ground)} elements exceeds the limit of {limit}"
-        )
+    check_limit("hitting-set search", len(instance.ground), limit)
     elements = sorted(instance.ground)
     sets = [s.members for s in instance.subsets]
     containing = [

@@ -2,9 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import fdkit
 from fdkit import (
     AttributeSet,
     is_determinant,
@@ -21,6 +27,7 @@ BCNF_OK = "scheme S(A,B)\nscheme T(B,C)\nfd A -> B\nfd B -> C\n"
 ABCDE = "scheme R(A,B,C,D,E)\nfd E -> C D\n"
 HITTABLE = "elements: p1 p2 p3 p4 p5 p6 p7 p8\nset: p1 p2 p3\nset: p2 p3 p4\nset: p1 p7 p8\nset: p5 p6 p7\n"
 UNHITTABLE = "elements: a b\nset: a b\nset: a\nset: b\n"
+WIDE14 = "fd A0 -> " + ", ".join(f"A{i}" for i in range(1, 14)) + "\n"
 
 
 @pytest.fixture()
@@ -36,6 +43,7 @@ def files(tmp_path):
         "broken.fd": "scheme S(A\n",
         "hittable.hs": HITTABLE,
         "unhittable.hs": UNHITTABLE,
+        "wide.fd": WIDE14,
     }.items():
         path = tmp_path / name
         path.write_text(text)
@@ -50,7 +58,10 @@ def run(capsys, argv):
 
 
 class TestExitStatusMatrix:
-    def test_matrix(self, files, capsys):
+    def test_matrix(self, files, capsys, monkeypatch):
+        # a command that wrongly falls back to stdin reads a valid schema
+        # and answers, instead of failing for an unrelated reason
+        monkeypatch.setattr("sys.stdin", io.StringIO(CHAIN))
         chain = files["chain.fd"]
         cases = [
             # (argv, expected exit status)
@@ -91,6 +102,10 @@ class TestExitStatusMatrix:
             (["closure", "--of", "A", "--schema", "/nonexistent/file.fd"], 2),
             (["equivalent", files["other.fd"], "--schema", chain], 2),
             (["oracle"], 2),
+            # options belong to the oracle leaf, not to the oracle group
+            (["oracle", "--limit", "20", "implies", "A0 -> A1", "--schema", files["wide.fd"]], 2),
+            (["oracle", "--schema", chain, "--json", "implies", "A -> C"], 2),
+            (["oracle", "implies", "A0 -> A1", "--schema", files["wide.fd"], "--limit", "20"], 0),
             # limit refusals
             (["keys", "--all", "--schema", files["abcde.fd"], "--limit", "3"], 3),
             (["check", "--nf", "bcnf", "--schema", files["abcde.fd"], "--limit", "2"], 3),
@@ -250,7 +265,26 @@ class TestLimitsAndEnvironment:
         code, _, _ = run(capsys, ["keys", "--all", "--schema", files["abcde.fd"]])
         assert code == 2
 
+    def test_synthesize_refuses_a_wide_scheme_promptly(self, tmp_path, capsys):
+        wide = tmp_path / "wide40.fd"
+        wide.write_text("fd A0 -> " + ", ".join(f"A{i}" for i in range(1, 40)) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["synthesize", "--3nf", "--schema", str(wide)])
+        assert (code, out) == (3, "")
+        assert "limit of 16" in err
+        assert time.perf_counter() - start < 5
+
     def test_stdin_is_the_default_schema_source(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(CHAIN))
         code, out, _ = run(capsys, ["implies", "A -> C"])
         assert code == 0 and out.strip() == "true"
+
+
+def test_module_runs_as_a_script(files):
+    src = str(Path(fdkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fdkit.cli", "closure", "--of", "A", "--schema", files["chain.fd"]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "A B C")

@@ -2,6 +2,7 @@
 representation checking."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -199,6 +200,43 @@ class TestCheck3nf:
         report = check_3nf(DatabaseSchema((scheme,)))
         assert report.satisfied
 
+    def test_matches_the_definition_on_random_schemas(self):
+        # 3NF from its definition: a violation is a subset X of a scheme
+        # that is no superkey there and determines an attribute of the
+        # scheme outside X that lies in no key.  Keys are found here by
+        # brute force, and the expected witness is the first such X in
+        # (size, canonical) order with its first such attribute.
+        rng = random.Random(37)
+        violations = 0
+        for _ in range(150):
+            schema = _random_schema(rng, max_attrs=9)
+            sigma = schema.global_fds()
+            expected = []
+            for index, scheme in enumerate(schema.schemes):
+                attrs = tuple(scheme.attrs)
+                subsets = [
+                    AttributeSet(c)
+                    for size in range(len(attrs) + 1)
+                    for c in combinations(attrs, size)
+                ]
+                superkeys = [x for x in subsets if scheme.attrs <= sigma.closure(x)]
+                keys = [k for k in superkeys if not any(t < k for t in superkeys)]
+                primes = {a for k in keys for a in k}
+                for x in subsets:
+                    if x in superkeys:
+                        continue
+                    inside = sigma.closure(x) & scheme.attrs
+                    nonprime = [a for a in inside - x if a not in primes]
+                    if nonprime:
+                        expected.append((index, x, AttributeSet(nonprime[:1])))
+                        break
+            report = check_3nf(schema)
+            assert report.satisfied == (not expected)
+            got = [(w.scheme_index, w.determinant, w.dependents) for w in report.witnesses]
+            assert got == expected
+            violations += len(expected)
+        assert violations > 0
+
     def test_bcnf_outputs_pass(self):
         rng = random.Random(32)
         for _ in range(25):
@@ -294,6 +332,12 @@ class TestSynthesize3nf:
             AttributeSet("A"),
         ]
         assert len(out.schemes[2].fds) == 0
+
+    def test_wide_scheme_is_refused_beyond_the_limit(self):
+        attrs = [f"A{i}" for i in range(16)]
+        uni = RelationScheme(attrs, FDSet([FD(attrs[:1], attrs[1:])]))
+        with pytest.raises(LimitExceededError):
+            synthesize_3nf(uni, limit=4)
 
     def test_output_invariants_on_random_inputs(self):
         rng = random.Random(36)

@@ -304,6 +304,19 @@ class TestOracleImplies:
         with pytest.raises(LimitExceededError):
             oracle_implies(sigma, fd("A -> B"), limit=5)
 
+    def test_answers_without_the_closure_kernel(self, monkeypatch):
+        # the oracle is an independent check on the closure kernel, so it
+        # must keep answering when the kernel is unavailable
+        sigma = fdset("B -> C", "A -> B")
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the oracle called the closure kernel")
+
+        monkeypatch.setattr("fdkit.fds._close", unavailable)
+        monkeypatch.setattr(FDSet, "closure", unavailable)
+        assert oracle_implies(sigma, fd("A -> C"))
+        assert not oracle_implies(sigma, fd("C -> A"))
+
     def test_matches_materialized_two_row_relations(self):
         # the bitmask patterns are exactly the two-row relations whose rows
         # agree on the chosen subset; check the encoding against real
