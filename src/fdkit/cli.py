@@ -77,10 +77,6 @@ def _common_options() -> argparse.ArgumentParser:
         "--limit", type=int, default=None, metavar="N",
         help=f"exponential-search guard (also ${LIMIT_ENV})",
     )
-    common.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="seed for randomized representation checks",
-    )
     return common
 
 
@@ -313,18 +309,13 @@ def _cmd_check(ns) -> int:
     return _finish(ns, 0 if report.satisfied else 1, _check_report_lines(db, report), payload)
 
 
-def _cmd_decompose(ns) -> int:
-    if not ns.bcnf:
-        raise UsageError("decompose: pass --bcnf (the only supported target)")
-    doc = _load_document(ns.schema)
-    db = doc.database_schema()
-    limit = _resolve_limit(ns, DEFAULT_SEARCH_LIMIT)
-    out = bcnf_decompose(db, limit=limit)
+def _finish_schema(ns, out: DatabaseSchema, universal) -> int:
+    """Print a produced schema, with the representation footer when it
+    covers the universal scheme's attributes."""
     lines = _schema_lines(out)
     payload = _schema_payload(out)
-    universal = doc.universal_scheme()
     if out.universe == universal.attrs:
-        rep = check_represents(out, universal, seed=ns.seed)
+        rep = check_represents(out, universal)
         payload["dependency_preserving"] = rep.dependency_preserving
         payload["lossless"] = rep.lossless_verdict
         lines.append(f"# dependency preserving: {str(rep.dependency_preserving).lower()}")
@@ -332,32 +323,34 @@ def _cmd_decompose(ns) -> int:
     return _finish(ns, 0, lines, payload)
 
 
+def _cmd_decompose(ns) -> int:
+    if not ns.bcnf:
+        raise UsageError("decompose: pass --bcnf (the only supported target)")
+    doc = _load_document(ns.schema)
+    db = doc.database_schema()
+    limit = _resolve_limit(ns, DEFAULT_SEARCH_LIMIT)
+    out = bcnf_decompose(db, limit=limit)
+    return _finish_schema(ns, out, doc.universal_scheme())
+
+
 def _cmd_synthesize(ns) -> int:
     if not ns.nf3:
         raise UsageError("synthesize: pass --3nf (the only supported target)")
     doc = _load_document(ns.schema)
     limit = _resolve_limit(ns, DEFAULT_SEARCH_LIMIT)
-    out = synthesize_3nf(doc.universal_scheme(), verbatim=ns.verbatim, limit=limit)
-    lines = _schema_lines(out)
-    payload = _schema_payload(out)
-    rep = check_represents(out, doc.universal_scheme(), seed=ns.seed)
-    payload["dependency_preserving"] = rep.dependency_preserving
-    payload["lossless"] = rep.lossless_verdict
-    lines.append(f"# dependency preserving: {str(rep.dependency_preserving).lower()}")
-    lines.append(f"# lossless: {rep.lossless_verdict}")
-    return _finish(ns, 0, lines, payload)
+    universal = doc.universal_scheme()
+    out = synthesize_3nf(universal, verbatim=ns.verbatim, limit=limit)
+    return _finish_schema(ns, out, universal)
 
 
 def _cmd_represents(ns) -> int:
     doc = _load_document(ns.schema)
     universal_doc = _load_document(ns.universal)
-    rep = check_represents(
-        doc.database_schema(), universal_doc.universal_scheme(), seed=ns.seed
-    )
+    rep = check_represents(doc.database_schema(), universal_doc.universal_scheme())
     payload = rep.to_dict()
     lines = [
         f"dependency preserving: {str(rep.dependency_preserving).lower()}",
-        f"lossless: {rep.lossless_verdict} ({rep.samples} samples)",
+        f"lossless: {rep.lossless_verdict}",
     ]
     if rep.counterexample is not None:
         lines.append(rep.counterexample.to_csv().rstrip("\n"))
@@ -393,7 +386,11 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
     except UsageError as exc:
-        _fail(str(exc))
+        message = str(exc)
+        args = sys.argv[1:] if argv is None else list(argv)
+        if args[:1] == ["oracle"] and args[1:2] and args[1].startswith("-"):
+            message = "oracle: options go after 'implies', as in: oracle implies FD --schema FILE"
+        _fail(message)
         return 2
     if ns.command is None:
         _fail("a subcommand is required (see fdkit --help)")

@@ -9,14 +9,13 @@ fixed canonical order so reported witnesses are deterministic.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .covers import canonical_cover, nonredundant_cover, project_fds, reduced_cover
 from .errors import UniverseMismatchError, UnknownAttributeError, check_limit
 from .fds import Attribute, AttributeSet, AttrsLike, FDSet, _subsets
-from .instances import Relation, is_lossless_on, random_satisfying_instance
+from .instances import Relation, _chase, is_lossless_on
 
 __all__ = [
     "RelationScheme",
@@ -145,16 +144,16 @@ class NormalFormReport:
 class RepresentsReport:
     """Outcome of comparing a schema against a universal scheme.
 
-    ``dependency_preserving`` is exact.  The lossless verdict is
-    evidence-based only: ``no-counterexample-found`` after the sampled
-    instances, or ``counterexample`` with the offending instance attached;
-    it is never a proof of losslessness.
+    Both verdicts are exact.  ``lossless_verdict`` is
+    ``no-counterexample-found`` when the decomposition is lossless, and
+    ``counterexample`` when it is lossy, with ``counterexample`` holding
+    an instance that satisfies the universal dependencies and does not
+    join back from its projections.
     """
 
     dependency_preserving: bool
     lossless_verdict: str
     counterexample: Optional[Relation]
-    samples: int
 
     @property
     def ok(self) -> bool:
@@ -164,7 +163,6 @@ class RepresentsReport:
         return {
             "dependency_preserving": self.dependency_preserving,
             "lossless": self.lossless_verdict,
-            "samples": self.samples,
             "counterexample": (
                 self.counterexample.to_csv() if self.counterexample else None
             ),
@@ -397,31 +395,23 @@ def synthesize_3nf(
     return DatabaseSchema(tuple(schemes))
 
 
-def check_represents(
-    schema: DatabaseSchema,
-    universal: RelationScheme,
-    samples: int = 100,
-    seed: int = 0,
-) -> RepresentsReport:
+def check_represents(schema: DatabaseSchema, universal: RelationScheme) -> RepresentsReport:
     """Compare a schema against the universal scheme it should represent.
 
     Dependency preservation is decided exactly: the union of the local
-    dependency sets must be equivalent to the universal one.  Losslessness
-    is probed by falsification only: ``samples`` pseudo-random instances
-    satisfying the universal dependencies are generated and each is joined
-    back from its projections; the verdict is ``counterexample`` (with the
-    instance) or ``no-counterexample-found``, never a proof.
+    dependency sets must be equivalent to the universal one.  So is
+    losslessness, by the tableau chase of the schema's parts under the
+    universal dependencies: the chased tableau satisfies them, and it
+    joins back from its projections exactly when the decomposition is
+    lossless.  Otherwise it is returned as the counterexample.
     """
     if schema.universe != universal.attrs:
         raise UniverseMismatchError(
             f"schema universe {schema.universe} differs from universal attrs {universal.attrs}"
         )
-    union = schema.global_fds()
-    preserved = union.equivalent(universal.fds)
-    rng = random.Random(seed)
+    preserved = schema.global_fds().equivalent(universal.fds)
     parts = [s.attrs for s in schema.schemes]
-    for _ in range(samples):
-        instance = random_satisfying_instance(universal.fds, rng)
-        if not is_lossless_on(instance, parts):
-            return RepresentsReport(preserved, "counterexample", instance, samples)
-    return RepresentsReport(preserved, "no-counterexample-found", None, samples)
+    tableau = _chase(universal.fds, parts)
+    if is_lossless_on(tableau, parts):
+        return RepresentsReport(preserved, "no-counterexample-found", None)
+    return RepresentsReport(preserved, "counterexample", tableau)

@@ -129,9 +129,12 @@ def _split_names(text: str) -> list:
     return _LIST_SPLIT.split(text) if text else []
 
 
-def _column_of(raw: str, token: str) -> int:
-    at = raw.find(token)
-    return at + 1 if at >= 0 else 1
+def _split_at(text: str, start: int) -> list:
+    """The names of ``text`` paired with their 1-based columns, where
+    ``text`` begins at offset ``start`` of its source line."""
+    base = start + len(text) - len(text.lstrip()) + 1
+    starts = [0] + [m.end() for m in _LIST_SPLIT.finditer(text.strip())]
+    return [(name, base + at) for name, at in zip(_split_names(text), starts)]
 
 
 class _Parser:
@@ -148,10 +151,9 @@ class _Parser:
     def warn(self, line: int, column: int, code: str, message: str) -> None:
         self.diagnostics.append(Diagnostic("warning", line, column, code, message))
 
-    def attr_list(self, text: str, raw: str, lineno: int) -> Optional[list]:
+    def attr_list(self, text: str, start: int, lineno: int) -> Optional[list]:
         out = []
-        for name in _split_names(text):
-            col = _column_of(raw, name)
+        for name, col in _split_at(text, start):
             if not _IDENT.match(name):
                 self.error(lineno, col, "E110", f"invalid identifier: {name!r}")
                 return None
@@ -165,56 +167,55 @@ class _Parser:
         line = raw.split("#", 1)[0].strip()
         if not line:
             return
+        lead = len(raw) - len(raw.lstrip())  # offset of ``line`` in ``raw``
         head = line.split(None, 1)[0]
         if head == "scheme":
-            self.parse_scheme(line, raw, lineno)
+            self.parse_scheme(line, lead, lineno)
         elif head == "fd":
-            self.parse_fd(line, raw, lineno)
+            self.parse_fd(line, lead, lineno)
         elif head == "universe":
-            self.parse_universe(line, raw, lineno)
+            self.parse_universe(line, lead, lineno)
         else:
             self.error(
                 lineno,
-                _column_of(raw, head),
+                lead + 1,
                 "E101",
                 f"unknown directive {head!r}; expected scheme, fd, or universe",
             )
 
-    def parse_scheme(self, line: str, raw: str, lineno: int) -> None:
+    def parse_scheme(self, line: str, lead: int, lineno: int) -> None:
         match = _SCHEME_LINE.match(line)
         if not match:
             self.error(lineno, 1, "E100", "expected: scheme Name(attr, ...)")
             return
         name, attr_text = match.group(1), match.group(2)
+        name_col = lead + match.start(1) + 1
         if not _IDENT.match(name):
-            self.error(lineno, _column_of(raw, name), "E110", f"invalid scheme name: {name!r}")
+            self.error(lineno, name_col, "E110", f"invalid scheme name: {name!r}")
             return
-        attrs = self.attr_list(attr_text, raw, lineno)
+        attrs = self.attr_list(attr_text, lead + match.start(2), lineno)
         if attrs is None:
             return
         if not attrs:
             self.error(lineno, 1, "E100", "a scheme needs at least one attribute")
             return
         if any(name == existing for existing, _, _ in self.scheme_decls):
-            self.error(lineno, _column_of(raw, name), "E120", f"duplicate scheme name: {name}")
+            self.error(lineno, name_col, "E120", f"duplicate scheme name: {name}")
             return
         self.scheme_decls.append((name, attrs, lineno))
 
-    def parse_fd(self, line: str, raw: str, lineno: int) -> None:
-        body = line[2:].strip()
-        arrow = _ARROW.search(body)
+    def parse_fd(self, line: str, lead: int, lineno: int) -> None:
+        arrow = _ARROW.search(line, 2)
         if not arrow:
             self.error(lineno, 1, "E100", "expected: fd attrs -> attrs")
             return
-        lhs_text = body[: arrow.start()]
-        rhs_text = body[arrow.end() :]
-        lhs = self.attr_list(lhs_text, raw, lineno)
+        lhs = self.attr_list(line[2 : arrow.start()], lead + 2, lineno)
         if lhs is None:
             return
         if not lhs:
             self.error(lineno, 1, "E100", "a dependency needs a non-empty left side")
             return
-        rhs = self.attr_list(rhs_text, raw, lineno)
+        rhs = self.attr_list(line[arrow.end() :], lead + arrow.end(), lineno)
         if rhs is None:
             return
         if not rhs:
@@ -226,11 +227,11 @@ class _Parser:
         self.seen_fds.add(fd)
         self.fd_decls.append((fd, lineno))
 
-    def parse_universe(self, line: str, raw: str, lineno: int) -> None:
+    def parse_universe(self, line: str, lead: int, lineno: int) -> None:
         if self.universe_decl is not None:
             self.error(lineno, 1, "E121", "duplicate universe declaration")
             return
-        attrs = self.attr_list(line[len("universe") :], raw, lineno)
+        attrs = self.attr_list(line[len("universe") :], lead + len("universe"), lineno)
         if attrs is None:
             return
         if not attrs:

@@ -2,8 +2,9 @@
 
 This module doubles as the library's independent testing ground.  It can
 build the classic two-row witness that refutes any non-implied dependency,
-and it hosts :func:`oracle_implies`, a brute-force implication check that
-never touches the closure machinery.
+it hosts :func:`oracle_implies`, a brute-force implication check that
+never touches the closure machinery, and its token-unification repair
+also runs the tableau chase that decides losslessness.
 
 Relations have set semantics: duplicate rows collapse and row order never
 affects a result.  Rendering sorts rows so golden files stay stable.
@@ -339,47 +340,15 @@ def oracle_implies(sigma: FDSet, fd: FD, limit: int = DEFAULT_ORACLE_LIMIT) -> b
     return True
 
 
-def random_satisfying_instance(
-    sigma: FDSet,
-    rng: random.Random,
-    max_witnesses: int = 3,
-    max_merges: int = 2,
-) -> Relation:
-    """A pseudo-random relation over the universe that satisfies ``sigma``.
-
-    Starts from a union of two-row witnesses over random seeds (all rows
-    share values on the closure of the empty set, other value spaces are
-    disjoint, so every pairwise agreement set is closed and the union
-    satisfies ``sigma``).  Optional merges copy one row's values onto
-    another over a random closed set; any violations that introduces are
-    repaired by unifying value tokens until the instance satisfies
-    ``sigma`` again.
+def _unify(sigma: FDSet, rows: list) -> None:
+    """Repair ``rows`` (dicts over the universe) in place until they
+    satisfy ``sigma``: while two rows agree on an fd's left side but
+    differ on its right side, rename the second value token to the
+    first everywhere.  This is the chase step of Aho, Beeri & Ullman.
+    Each step merges two tokens, so the number of distinct tokens
+    strictly decreases and the loop terminates.
     """
-    universe = sigma.universe
-    if not universe:
-        return Relation(universe, [Row({})])
-    attrs = tuple(universe)
-    base = sigma.closure(AttributeSet())
-    rows: list = []
-    for w in range(rng.randint(1, max_witnesses)):
-        seed = AttributeSet([a for a in attrs if rng.random() < 0.5])
-        closed = sigma.closure(seed)
-        u = {a: f"{a.name}.{w}a" for a in attrs}
-        v = {a: (u[a] if a in closed else f"{a.name}.{w}b") for a in attrs}
-        for a in base:
-            u[a] = f"{a.name}.base"
-            v[a] = f"{a.name}.base"
-        rows.append(u)
-        rows.append(v)
-    for _ in range(rng.randint(0, max_merges)):
-        if len(rows) < 2:
-            break
-        i, j = rng.sample(range(len(rows)), 2)
-        seed = AttributeSet([a for a in attrs if rng.random() < 0.5])
-        for a in sigma.closure(seed):
-            rows[j][a] = rows[i][a]
-    # Token-unification repair: each step merges two value tokens, so the
-    # number of distinct tokens strictly decreases and the loop terminates.
+    attrs = tuple(sigma.universe)
     while True:
         violation = None
         for fd in sigma:
@@ -405,4 +374,65 @@ def random_satisfying_instance(
             for a in attrs:
                 if row[a] == drop:
                     row[a] = keep
+
+
+def _chase(sigma: FDSet, parts: Sequence[AttributeSet]) -> Relation:
+    """The chased tableau of the decomposition of ``sigma``'s universe
+    into ``parts`` (Aho, Beeri & Ullman, TODS 1979).
+
+    The tableau has one row per part: the part's own attributes carry
+    the attribute's bare name, every other cell a token of its own.
+    Repairing it yields a relation ``T`` that satisfies ``sigma``, and
+    the decomposition is lossless exactly when ``is_lossless_on(T,
+    parts)``; otherwise ``T`` itself is a lossy instance.
+    """
+    attrs = tuple(sigma.universe)
+    rows = [
+        {a: (a.name if a in part else f"{a.name}.{i}") for a in attrs}
+        for i, part in enumerate(parts)
+    ]
+    _unify(sigma, rows)
+    return Relation(sigma.universe, [Row(r) for r in rows])
+
+
+def random_satisfying_instance(
+    sigma: FDSet,
+    rng: random.Random,
+    max_witnesses: int = 3,
+    max_merges: int = 2,
+) -> Relation:
+    """A pseudo-random relation over the universe that satisfies ``sigma``.
+
+    Starts from a union of two-row witnesses over random seeds (all rows
+    share values on the closure of the empty set, other value spaces are
+    disjoint, so every pairwise agreement set is closed and the union
+    satisfies ``sigma``).  Optional merges copy one row's values onto
+    another over a random closed set; any violations that introduces are
+    repaired by the chase step of :func:`_unify` until the instance
+    satisfies ``sigma`` again.
+    """
+    universe = sigma.universe
+    if not universe:
+        return Relation(universe, [Row({})])
+    attrs = tuple(universe)
+    base = sigma.closure(AttributeSet())
+    rows: list = []
+    for w in range(rng.randint(1, max_witnesses)):
+        seed = AttributeSet([a for a in attrs if rng.random() < 0.5])
+        closed = sigma.closure(seed)
+        u = {a: f"{a.name}.{w}a" for a in attrs}
+        v = {a: (u[a] if a in closed else f"{a.name}.{w}b") for a in attrs}
+        for a in base:
+            u[a] = f"{a.name}.base"
+            v[a] = f"{a.name}.base"
+        rows.append(u)
+        rows.append(v)
+    for _ in range(rng.randint(0, max_merges)):
+        if len(rows) < 2:
+            break
+        i, j = rng.sample(range(len(rows)), 2)
+        seed = AttributeSet([a for a in attrs if rng.random() < 0.5])
+        for a in sigma.closure(seed):
+            rows[j][a] = rows[i][a]
+    _unify(sigma, rows)
     return Relation(universe, [Row(r) for r in rows])

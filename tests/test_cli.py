@@ -106,6 +106,8 @@ class TestExitStatusMatrix:
             (["oracle", "--limit", "20", "implies", "A0 -> A1", "--schema", files["wide.fd"]], 2),
             (["oracle", "--schema", chain, "--json", "implies", "A -> C"], 2),
             (["oracle", "implies", "A0 -> A1", "--schema", files["wide.fd"], "--limit", "20"], 0),
+            # the representation check is exact and takes no seed
+            (["represents", chain, "--schema", files["bcnf_ok.fd"], "--seed", "7"], 2),
             # limit refusals
             (["keys", "--all", "--schema", files["abcde.fd"], "--limit", "3"], 3),
             (["check", "--nf", "bcnf", "--schema", files["abcde.fd"], "--limit", "2"], 3),
@@ -115,6 +117,12 @@ class TestExitStatusMatrix:
         for argv, expected in cases:
             code, _, _ = run(capsys, argv)
             assert code == expected, f"{argv}: expected {expected}, got {code}"
+
+    def test_misplaced_oracle_option_says_where_options_go(self, files, capsys):
+        argv = ["oracle", "--limit", "20", "implies", "A -> B", "--schema", files["chain.fd"]]
+        assert run(capsys, argv) == (
+            2, "", "fdkit: oracle: options go after 'implies', as in: oracle implies FD --schema FILE\n"
+        )
 
     def test_true_false_output(self, files, capsys):
         code, out, _ = run(capsys, ["implies", "A -> C", "--schema", files["chain.fd"]])
@@ -186,11 +194,16 @@ class TestSchemaOutputs:
         assert code == 1
         assert "dependency preserving: false" in out
 
-    def test_seed_gives_identical_output(self, files, capsys):
-        argv = ["represents", files["chain.fd"], "--schema", files["bcnf_ok.fd"], "--seed", "7"]
-        _, out1, _ = run(capsys, argv)
-        _, out2, _ = run(capsys, argv)
-        assert out1 == out2
+    def test_represents_output_is_deterministic(self, tmp_path, capsys):
+        lossy = tmp_path / "lossy.fd"
+        lossy.write_text("scheme R1(A,C)\nscheme R2(A,B)\nscheme R3(B,C)\n")
+        uni = tmp_path / "uni.fd"
+        uni.write_text("fd A, B -> C\n")
+        argv = ["represents", str(uni), "--schema", str(lossy)]
+        code, out, _ = run(capsys, argv)
+        assert code == 1
+        assert out.splitlines()[:3] == ["dependency preserving: false", "lossless: counterexample", "A,B,C"]
+        assert run(capsys, argv) == (code, out, "")
 
 
 class TestJson:

@@ -1,6 +1,7 @@
 """Keys, normal-form checks, BCNF decomposition, 3NF synthesis, and
 representation checking."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -46,6 +47,10 @@ def student_schema():
 
 def universal(attrs, *fd_texts):
     return RelationScheme(attrs, fdset(*fd_texts, universe=attrs))
+
+
+def without_fds(parts):
+    return DatabaseSchema(tuple(RelationScheme(p, FDSet((), universe=p)) for p in parts))
 
 
 def _random_schema(rng, max_attrs=6):
@@ -354,7 +359,7 @@ class TestSynthesize3nf:
                     union = union | s.attrs
                 assert union == uni.attrs
                 assert check_3nf(out).satisfied
-                report = check_represents(out, uni, samples=20, seed=1)
+                report = check_represents(out, uni)
                 assert report.dependency_preserving
                 assert report.counterexample is None
 
@@ -362,7 +367,7 @@ class TestSynthesize3nf:
 class TestCheckRepresents:
     def test_universal_scheme_represents_itself(self):
         uni = universal("A B C", "A -> B")
-        report = check_represents(DatabaseSchema((uni,)), uni, samples=10)
+        report = check_represents(DatabaseSchema((uni,)), uni)
         assert report.ok
         assert report.dependency_preserving
         assert report.lossless_verdict == "no-counterexample-found"
@@ -370,7 +375,7 @@ class TestCheckRepresents:
     def test_disjoint_halves_without_dependencies_lose_rows(self):
         uni = universal("A B C D")
         schema = DatabaseSchema((universal("A B"), universal("C D")))
-        report = check_represents(schema, uni, samples=100, seed=0)
+        report = check_represents(schema, uni)
         assert report.lossless_verdict == "counterexample"
         assert report.counterexample is not None
         assert not is_lossless_on(
@@ -379,7 +384,7 @@ class TestCheckRepresents:
 
     def test_synthesized_output_is_dependency_preserving(self):
         uni = universal("A B C D", "A -> B", "B C -> D")
-        report = check_represents(synthesize_3nf(uni), uni, samples=30)
+        report = check_represents(synthesize_3nf(uni), uni)
         assert report.dependency_preserving
 
     def test_universe_mismatch_is_an_error(self):
@@ -391,5 +396,61 @@ class TestCheckRepresents:
     def test_dropped_dependency_is_detected(self):
         uni = universal("A B C", "A -> B", "B -> C")
         schema = DatabaseSchema((universal("A B", "A -> B"), universal("A C")))
-        report = check_represents(schema, uni, samples=5)
+        report = check_represents(schema, uni)
         assert not report.dependency_preserving
+
+    def test_lossy_triangle_is_caught(self):
+        # sampling 100 instances missed this with most seeds
+        uni = universal("A B C", "A B -> C")
+        parts = [AttributeSet("A C"), AttributeSet("A B"), AttributeSet("B C")]
+        report = check_represents(without_fds(parts), uni)
+        assert report.lossless_verdict == "counterexample"
+        assert report.counterexample.satisfies_all(uni.fds)
+        assert not is_lossless_on(report.counterexample, parts)
+
+    def test_chase_agrees_with_the_closure_test_and_with_sampling(self):
+        rng = random.Random(47)
+        binary = lossy = sampled_lossy = 0
+        for _ in range(600):
+            n = rng.randint(2, 8)
+            attrs = LETTERS[:n]
+            sigma = random_fdset(rng, attrs, max_fds=6)
+            uni = RelationScheme(attrs, sigma)
+            parts = [set() for _ in range(rng.randint(2, 4))]
+            for a in attrs:
+                for p in rng.sample(parts, rng.randint(1, 2)):
+                    p.add(a)
+            parts = [AttributeSet(p) for p in parts if p]
+            report = check_represents(without_fds(parts), uni)
+            lossless = report.lossless_verdict == "no-counterexample-found"
+            if lossless:
+                assert report.counterexample is None
+            else:
+                lossy += 1
+                assert report.lossless_verdict == "counterexample"
+                assert report.counterexample.satisfies_all(sigma)
+                assert not is_lossless_on(report.counterexample, parts)
+            if len(parts) == 2:
+                binary += 1
+                closed = sigma.closure(parts[0] & parts[1])
+                assert lossless == (parts[0] <= closed or parts[1] <= closed)
+            for _ in range(10):
+                instance = random_satisfying_instance(sigma, rng)
+                if not is_lossless_on(instance, parts):
+                    sampled_lossy += 1
+                    assert not lossless
+                    break
+        assert binary >= 100 and 100 <= lossy <= 500 and sampled_lossy >= 100
+
+    def test_random_instances_are_unchanged(self):
+        # the repair loop is shared with the chase; the generator still
+        # returns exactly the relations it returned before the move
+        rng = random.Random(41)
+        digest = hashlib.sha256()
+        for case in range(300):
+            n = rng.randint(1, 7)
+            sigma = random_fdset(rng, LETTERS[:n], max_fds=6)
+            for kwargs in ({}, {"max_witnesses": 4, "max_merges": 4}):
+                instance = random_satisfying_instance(sigma, random.Random(case), **kwargs)
+                digest.update(instance.to_csv().encode())
+        assert digest.hexdigest() == "07678388c6d5576824d1b96216de2608d4e1e8fe9a022e29780794a658cc0288"

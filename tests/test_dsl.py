@@ -105,11 +105,16 @@ class TestDiagnostics:
         assert len(result.document.fds) == 1
 
     def test_errors_carry_positions(self):
-        result = parse_schema("fd A -> B\nbogus line")
-        (diag,) = result.errors
-        assert diag.line == 2
-        assert diag.severity == "error"
-        assert "2:" in str(diag)
+        for text, where in [
+            ("fd A -> B\nbogus line", "2:1: error[E101]"),
+            ("fd __C1, __C -> A", "1:10: error[E111]"),
+            ("  fd A, __C -> B", "1:9: error[E111]"),
+            ("fd A -> B, 9B", "1:12: error[E110]"),
+            ("scheme S(A)\nscheme S(B)", "2:8: error[E120]"),
+        ]:
+            (diag,) = parse_schema(text).errors
+            assert diag.severity == "error"
+            assert str(diag).startswith(where), text
 
     def test_diagnostics_sorted_by_position(self):
         result = parse_schema("scheme S(A)\nfd A -> Z\nnonsense")
