@@ -9,7 +9,16 @@ always produce equal outputs.
 from __future__ import annotations
 
 from .errors import check_limit
-from .fds import FD, AttributeSet, AttrsLike, FDSet, _close, _subsets
+from .fds import (
+    FD,
+    AttributeSet,
+    AttrsLike,
+    FDSet,
+    _close,
+    _nonredundant,
+    _require_within,
+    _subsets,
+)
 
 __all__ = [
     "reduced_cover",
@@ -49,16 +58,7 @@ def nonredundant_cover(sigma: FDSet) -> FDSet:
     Greedy scan in collection order; each removal is in place, so later
     members are tested against the already shrunk set.
     """
-    work = list(sigma)
-    i = 0
-    while i < len(work):
-        fd = work[i]
-        rest = work[:i] + work[i + 1 :]
-        if fd.rhs.members <= _close(rest, fd.lhs):
-            work = rest
-        else:
-            i += 1
-    return FDSet(work, universe=sigma.universe)
+    return FDSet(_nonredundant(sigma.fds), universe=sigma.universe)
 
 
 def canonical_cover(sigma: FDSet) -> FDSet:
@@ -110,7 +110,7 @@ def project_fds(
     attributes are refused with :class:`LimitExceededError`.
     """
     x = AttributeSet(x)
-    sigma._require_members(x, "projection attributes")
+    _require_within(x.members, sigma.universe.members, "projection attributes outside the universe")
     check_limit("projection", len(x), limit)
     out = []
     for s in _subsets(x):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .covers import canonical_cover, nonredundant_cover, project_fds, reduced_cover
-from .errors import UniverseMismatchError, UnknownAttributeError, check_limit
-from .fds import Attribute, AttributeSet, AttrsLike, FDSet, _subsets
+from .errors import UniverseMismatchError, check_limit
+from .fds import Attribute, AttributeSet, AttrsLike, FDSet, _require_within, _subsets
 from .instances import Relation, _chase, is_lossless_on
 
 __all__ = [
@@ -169,23 +169,17 @@ class RepresentsReport:
         }
 
 
-def _require_subset(scheme: RelationScheme, x: AttributeSet) -> None:
-    if not x <= scheme.attrs:
-        stray = x - scheme.attrs
-        raise UnknownAttributeError(f"attributes outside the scheme: {stray}")
-
-
 def is_determinant(scheme: RelationScheme, sigma: FDSet, x: AttrsLike) -> bool:
     """Whether ``x`` determines at least one scheme attribute beyond itself."""
     x = AttributeSet(x)
-    _require_subset(scheme, x)
+    _require_within(x.members, scheme.attrs.members, "attributes outside the scheme")
     return bool((sigma.closure(x) & scheme.attrs) - x)
 
 
 def is_superkey(scheme: RelationScheme, sigma: FDSet, x: AttrsLike) -> bool:
     """Whether ``x`` determines every attribute of the scheme."""
     x = AttributeSet(x)
-    _require_subset(scheme, x)
+    _require_within(x.members, scheme.attrs.members, "attributes outside the scheme")
     return scheme.attrs <= sigma.closure(x)
 
 
@@ -229,9 +223,7 @@ def is_prime(
     limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> bool:
     """Whether ``a`` belongs to some key of the scheme."""
-    if isinstance(a, str):
-        a = Attribute(a)
-    _require_subset(scheme, AttributeSet([a]))
+    _require_within(AttributeSet([a]).members, scheme.attrs.members, "attributes outside the scheme")
     return any(a in key for key in enumerate_keys(scheme, sigma, limit))
 
 

@@ -275,12 +275,12 @@ def parse_schema(text: str) -> ParseResult:
         mentioned.update(fd.attributes)
     universe = AttributeSet(declared | mentioned)
     sigma = FDSet([fd for fd, _ in parser.fd_decls], universe=universe)
+    mentions = [(fd, fd.attributes.members) for fd in sigma]
     schemes = []
     for name, attrs, _ in parser.scheme_decls:
         attr_set = AttributeSet(attrs)
-        local = FDSet(
-            [fd for fd in sigma if fd.attributes <= attr_set], universe=attr_set
-        )
+        inside = attr_set.members
+        local = FDSet([fd for fd, used in mentions if used <= inside], universe=attr_set)
         schemes.append(RelationScheme(attr_set, local, name=name))
     document = SchemaDocument(
         schemes=tuple(schemes),

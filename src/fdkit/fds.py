@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence, Union
+from typing import AbstractSet, Collection, Iterable, Iterator, Sequence, Union
 
 from .errors import UnknownAttributeError, UniverseMismatchError
 
@@ -23,38 +23,40 @@ __all__ = ["Attribute", "AttributeSet", "FD", "FDSet", "AttrsLike"]
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _SPLIT = re.compile(r"[\s,]+")
+_INTERNED: dict = {}  # name -> its one Attribute; see Attribute
 
 
-class Attribute:
-    """A named column.  Two attributes are equal exactly when their names are.
+class Attribute(str):
+    """A named column: a ``str`` holding a validated name.
 
     Names follow the identifier grammar ``[A-Za-z_][A-Za-z0-9_]*`` and are
-    case sensitive.
+    case sensitive.  Equality, hashing and ordering are those of the name
+    itself, so ``Attribute("A") == "A"``.
+
+    Each name is built once per process and then shared.  An instance of a
+    ``str`` subclass carries its own copy of the text, about 100 bytes, so
+    without sharing every row of a relation and every dependency would
+    hold one copy per attribute it mentions.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, name: str):
-        if not isinstance(name, str) or not _NAME.match(name):
-            raise ValueError(f"invalid attribute name: {name!r}")
-        self.name = name
+    def __new__(cls, name: str):
+        if isinstance(name, str):
+            known = _INTERNED.get(name)
+            if known is not None:
+                return known
+            if _NAME.match(name):
+                attr = str.__new__(cls, name)
+                return _INTERNED.setdefault(attr, attr)
+        raise ValueError(f"invalid attribute name: {name!r}")
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Attribute) and self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def __lt__(self, other: "Attribute") -> bool:
-        if not isinstance(other, Attribute):
-            return NotImplemented
-        return self.name < other.name
+    @property
+    def name(self) -> str:
+        return str(self)
 
     def __repr__(self) -> str:
-        return f"Attribute({self.name!r})"
-
-    def __str__(self) -> str:
-        return self.name
+        return f"Attribute({str(self)!r})"
 
 
 AttrsLike = Union["AttributeSet", str, Iterable[Union[Attribute, str]]]
@@ -118,8 +120,6 @@ class AttributeSet:
         return bool(self._members)
 
     def __contains__(self, item: object) -> bool:
-        if isinstance(item, str):
-            item = Attribute(item)
         return item in self._members
 
     def __eq__(self, other: object) -> bool:
@@ -164,7 +164,7 @@ class AttributeSet:
         return self._members > other._members
 
     def __str__(self) -> str:
-        return " ".join(self.names)
+        return " ".join(self)
 
     def __repr__(self) -> str:
         return f"AttributeSet({str(self)!r})"
@@ -238,6 +238,31 @@ def _close(fds: Sequence[FD], seed: Iterable[Attribute]) -> set:
     return reached
 
 
+def _require_within(attrs: AbstractSet, allowed: Collection, what: str) -> None:
+    """Refuse the members of ``attrs`` missing from ``allowed`` with
+    :class:`UnknownAttributeError`: ``what``, a colon, then the stray
+    names in name order."""
+    stray = attrs.difference(allowed)
+    if stray:
+        raise UnknownAttributeError(f"{what}: {' '.join(map(str, sorted(stray)))}")
+
+
+def _nonredundant(fds: Sequence[FD]) -> list:
+    """The greedy non-redundancy sweep: scan in collection order and drop
+    each member implied by the others; each removal is in place, so later
+    members are tested against the already shrunk list."""
+    work = list(fds)
+    i = 0
+    while i < len(work):
+        fd = work[i]
+        rest = work[:i] + work[i + 1 :]
+        if fd.rhs.members <= _close(rest, fd.lhs):
+            work = rest
+        else:
+            i += 1
+    return work
+
+
 def _subsets(attrs: AttributeSet) -> Iterator[AttributeSet]:
     """Every subset of ``attrs`` in (size, canonical) order: smaller
     subsets first, and subsets of one size in lexicographic name order.
@@ -276,10 +301,7 @@ class FDSet:
             self._universe = AttributeSet._from_frozen(mentioned)
         else:
             self._universe = AttributeSet(universe)
-            stray = mentioned - self._universe.members
-            if stray:
-                names = " ".join(sorted(a.name for a in stray))
-                raise UnknownAttributeError(f"attributes outside the universe: {names}")
+            _require_within(mentioned, self._universe.members, "attributes outside the universe")
 
     @property
     def universe(self) -> AttributeSet:
@@ -318,12 +340,6 @@ class FDSet:
         inner = ", ".join(repr(fd) for fd in self._fds)
         return f"FDSet([{inner}], universe={str(self._universe)!r})"
 
-    def _require_members(self, attrs: AttributeSet, what: str) -> None:
-        stray = attrs.members - self._universe.members
-        if stray:
-            names = " ".join(sorted(a.name for a in stray))
-            raise UnknownAttributeError(f"{what} outside the universe: {names}")
-
     def closure(self, x: AttrsLike) -> AttributeSet:
         """All attributes determined by ``x`` under this dependency set.
 
@@ -331,7 +347,7 @@ class FDSet:
         fixpoint: closing it again changes nothing.
         """
         x = AttributeSet(x)
-        self._require_members(x, "attributes")
+        _require_within(x.members, self._universe.members, "attributes outside the universe")
         return AttributeSet._from_frozen(frozenset(_close(self._fds, x)))
 
     def implies(self, fd: FD) -> bool:
@@ -340,7 +356,9 @@ class FDSet:
         Decided semantically: ``fd.rhs`` must lie inside the closure of
         ``fd.lhs``.
         """
-        self._require_members(fd.attributes, "dependency attributes")
+        _require_within(
+            fd.attributes.members, self._universe.members, "dependency attributes outside the universe"
+        )
         return fd.rhs.members <= _close(self._fds, fd.lhs)
 
     def _covers(self, other: "FDSet") -> bool:
@@ -370,9 +388,4 @@ class FDSet:
 
     def is_redundant(self) -> bool:
         """Whether some member is already implied by the others."""
-        fds = self._fds
-        for i, fd in enumerate(fds):
-            rest = fds[:i] + fds[i + 1 :]
-            if fd.rhs.members <= _close(rest, fd.lhs):
-                return True
-        return False
+        return len(_nonredundant(self._fds)) < len(self._fds)

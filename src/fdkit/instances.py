@@ -17,13 +17,8 @@ import io
 import random
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import (
-    CoverageError,
-    RelationFormatError,
-    UnknownAttributeError,
-    check_limit,
-)
-from .fds import FD, Attribute, AttributeSet, AttrsLike, FDSet
+from .errors import CoverageError, RelationFormatError, check_limit
+from .fds import FD, Attribute, AttributeSet, AttrsLike, FDSet, _require_within
 
 __all__ = [
     "Row",
@@ -63,25 +58,21 @@ class Row:
         return AttributeSet._from_frozen(frozenset(self._values))
 
     def __getitem__(self, attr) -> Token:
-        if isinstance(attr, str):
-            attr = Attribute(attr)
         try:
             return self._values[attr]
         except KeyError:
-            raise UnknownAttributeError(f"attribute outside the row's scheme: {attr}")
+            _require_within({attr}, self._values, "attribute outside the row's scheme")
+            raise
 
     def restrict(self, y: AttrsLike) -> "Row":
         """The same row narrowed to the attributes ``y`` (a subset of the
         scheme).  Restricting to the full scheme is the identity."""
         y = AttributeSet(y)
-        stray = y.members - frozenset(self._values)
-        if stray:
-            names = " ".join(sorted(a.name for a in stray))
-            raise UnknownAttributeError(f"attributes outside the row's scheme: {names}")
+        _require_within(y.members, self._values, "attributes outside the row's scheme")
         return Row({a: self._values[a] for a in y.members})
 
     def items(self):
-        return sorted(self._values.items(), key=lambda kv: kv[0].name)
+        return sorted(self._values.items())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Row) and self._values == other._values
@@ -165,9 +156,7 @@ class Relation:
     def project(self, y: AttrsLike) -> "Relation":
         """Projection onto ``y``: restrict every row, collapsing duplicates."""
         y = AttributeSet(y)
-        if not y <= self._scheme:
-            stray = y - self._scheme
-            raise UnknownAttributeError(f"attributes outside the scheme: {stray}")
+        _require_within(y.members, self._scheme.members, "attributes outside the scheme")
         wanted = y.members
         return Relation(
             y, (Row({a: row._values[a] for a in wanted}) for row in self._rows)
@@ -175,9 +164,7 @@ class Relation:
 
     def satisfies(self, fd: FD) -> bool:
         """Whether no two rows agree on ``fd.lhs`` yet differ on ``fd.rhs``."""
-        if not fd.attributes <= self._scheme:
-            stray = fd.attributes - self._scheme
-            raise UnknownAttributeError(f"attributes outside the scheme: {stray}")
+        _require_within(fd.attributes.members, self._scheme.members, "attributes outside the scheme")
         lhs = tuple(fd.lhs)
         rhs = tuple(fd.rhs)
         groups: dict = {}
@@ -198,7 +185,7 @@ class Relation:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         attrs = tuple(self._scheme)
-        writer.writerow([a.name for a in attrs])
+        writer.writerow(attrs)
         for row in self.sorted_rows():
             writer.writerow([str(row[a]) for a in attrs])
         return buffer.getvalue()
@@ -316,7 +303,9 @@ def oracle_implies(sigma: FDSet, fd: FD, limit: int = DEFAULT_ORACLE_LIMIT) -> b
     oracle for :meth:`FDSet.implies`.  Universes beyond ``limit``
     attributes are refused.
     """
-    sigma._require_members(fd.attributes, "dependency attributes")
+    _require_within(
+        fd.attributes.members, sigma.universe.members, "dependency attributes outside the universe"
+    )
     n = len(sigma.universe)
     check_limit("implication oracle", n, limit)
     position = {a: i for i, a in enumerate(sigma.universe)}

@@ -42,9 +42,7 @@ class HittingSetInstance:
     subsets: tuple
 
     def __post_init__(self):
-        ground = tuple(
-            e if isinstance(e, Attribute) else Attribute(e) for e in self.ground
-        )
+        ground = tuple(map(Attribute, self.ground))
         if len(set(ground)) != len(ground):
             raise InstanceFormatError("duplicate element in the ground set")
         subsets = tuple(AttributeSet(s) for s in self.subsets)
@@ -57,7 +55,7 @@ class HittingSetInstance:
             if not s:
                 raise InstanceFormatError("subsets must be non-empty")
             if not s.members <= universe:
-                stray = " ".join(sorted(a.name for a in s.members - universe))
+                stray = " ".join(sorted(s.members - universe))
                 raise InstanceFormatError(f"subset uses unknown elements: {stray}")
 
 

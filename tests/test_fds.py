@@ -12,9 +12,15 @@ from fdkit import (
     Attribute,
     AttributeSet,
     FDSet,
+    Relation,
+    RelationScheme,
+    Row,
     UniverseMismatchError,
     UnknownAttributeError,
+    is_prime,
+    is_superkey,
     oracle_implies,
+    project_fds,
 )
 
 from util import LETTERS, fd, fdset, random_fdset, random_subset
@@ -36,6 +42,30 @@ class TestAttribute:
 
     def test_underscore_names_allowed(self):
         assert Attribute("__C").name == "__C"
+
+    def test_is_its_name(self):
+        assert isinstance(Attribute("A"), str)
+        assert Attribute("A") == "A" and "A" == Attribute("A")
+        assert hash(Attribute("A")) == hash("A")
+        assert Attribute("A") != "B" and Attribute("A") < "B"
+
+    def test_name_is_a_plain_str_and_repr_is_unchanged(self):
+        assert type(Attribute("A").name) is str
+        assert type(str(Attribute("A"))) is str
+        assert repr(Attribute("A")) == "Attribute('A')"
+        assert f"{Attribute('A')}" == "A"
+
+    def test_has_no_instance_dict(self):
+        assert not hasattr(Attribute("A"), "__dict__")
+
+    def test_rewrapping_keeps_the_name(self):
+        again = Attribute(Attribute("A"))
+        assert type(again) is Attribute and again == Attribute("A")
+
+    def test_one_object_per_name(self):
+        assert Attribute("A12") is Attribute("A12")
+        assert AttributeSet("A12 B").names == ("A12", "B")
+        assert next(iter(AttributeSet("A12"))) is Attribute("A12")
 
 
 class TestAttributeSet:
@@ -60,6 +90,10 @@ class TestAttributeSet:
         assert AttributeSet("A") <= ab and AttributeSet("A") < ab
         assert ab <= ab and not ab < ab
         assert "A" in ab and Attribute("B") in ab and "C" not in ab
+
+    def test_invalid_name_is_simply_not_a_member(self):
+        assert "1x" not in AttributeSet("A")
+        assert "" not in AttributeSet("A")
 
     def test_hashable(self):
         assert len({AttributeSet("A B"), AttributeSet("B A")}) == 1
@@ -170,6 +204,33 @@ class TestIsRedundant:
 
     def test_mutual_pair_is_not(self):
         assert not fdset("A -> B", "B -> A").is_redundant()
+
+
+_SIGMA = fdset("A -> B", universe="A B C")
+_SCHEME = RelationScheme("A B C", _SIGMA)
+_RELATION = Relation.from_rows("A B", [("0", "1")])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FDSet([fd("A -> B C D")], universe="A B"), "attributes outside the universe: C D"),
+        (lambda: _SIGMA.closure("A Z Y"), "attributes outside the universe: Y Z"),
+        (lambda: _SIGMA.implies(fd("A -> Z")), "dependency attributes outside the universe: Z"),
+        (lambda: project_fds(_SIGMA, "A Z"), "projection attributes outside the universe: Z"),
+        (lambda: oracle_implies(_SIGMA, fd("Z -> A")), "dependency attributes outside the universe: Z"),
+        (lambda: is_superkey(_SCHEME, _SIGMA, "Z A Y"), "attributes outside the scheme: Y Z"),
+        (lambda: is_prime(_SCHEME, _SIGMA, "Z"), "attributes outside the scheme: Z"),
+        (lambda: Row({"A": "0"}).restrict("Z A Y"), "attributes outside the row's scheme: Y Z"),
+        (lambda: Row({"A": "0"})["Z"], "attribute outside the row's scheme: Z"),
+        (lambda: _RELATION.project("Z A Y"), "attributes outside the scheme: Y Z"),
+        (lambda: _RELATION.satisfies(fd("A -> Z")), "attributes outside the scheme: Z"),
+    ],
+)
+def test_stray_attributes_are_named_in_order(call, message):
+    with pytest.raises(UnknownAttributeError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 @st.composite

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fdkit import (
     FD,
+    Attribute,
     AttributeSet,
     CoverageError,
     FDSet,
@@ -48,6 +49,15 @@ class TestRow:
         assert row["A"] == "0"
         with pytest.raises(UnknownAttributeError):
             row["B"]
+
+    def test_getitem_by_plain_name_and_attribute(self):
+        row = Row({"A": "0", Attribute("B"): "1"})
+        assert row["B"] == row[Attribute("B")] == "1"
+        assert row[Attribute("A")] == "0"
+        with pytest.raises(UnknownAttributeError, match=r"^attribute outside the row's scheme: C$"):
+            row[Attribute("C")]
+        with pytest.raises(UnknownAttributeError, match=r"^attribute outside the row's scheme: 1x$"):
+            row["1x"]
 
 
 class TestRelation:
