@@ -198,11 +198,30 @@ def _fd_line(fd: FD) -> str:
     return f"fd {', '.join(fd.lhs.names)} -> {', '.join(fd.rhs.names)}".rstrip()
 
 
-def _schema_lines(db: DatabaseSchema) -> list:
-    lines = []
+def _scheme_names(db: DatabaseSchema) -> list:
+    """One name per scheme, in order: the declared name, else
+    ``R<position>`` unless a scheme is declared with it, else the first
+    ``R<position>_<k>``, k = 2, 3, ..., that no scheme is declared with.
+    A generated name meets no declared name, and no other generated one,
+    since each carries its own position."""
+    declared = {s.name for s in db.schemes if s.name}
+    names = []
     for i, scheme in enumerate(db.schemes, start=1):
-        name = scheme.name or f"R{i}"
-        lines.append(f"scheme {name}({', '.join(scheme.attrs.names)})")
+        name = scheme.name
+        if not name:
+            name, k = f"R{i}", 1
+            while name in declared:
+                k += 1
+                name = f"R{i}_{k}"
+        names.append(name)
+    return names
+
+
+def _schema_lines(db: DatabaseSchema) -> list:
+    lines = [
+        f"scheme {name}({', '.join(scheme.attrs.names)})"
+        for name, scheme in zip(_scheme_names(db), db.schemes)
+    ]
     seen = set()
     for scheme in db.schemes:
         for fd in scheme.fds:
@@ -217,11 +236,11 @@ def _schema_payload(db: DatabaseSchema) -> dict:
         "universe": list(db.universe.names),
         "schemes": [
             {
-                "name": scheme.name or f"R{i}",
+                "name": name,
                 "attrs": list(scheme.attrs.names),
                 "fds": [_fd_dict(fd) for fd in scheme.fds],
             }
-            for i, scheme in enumerate(db.schemes, start=1)
+            for name, scheme in zip(_scheme_names(db), db.schemes)
         ],
     }
 
@@ -402,19 +421,10 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except _ParseFailed:
         return 2
-    except UsageError as exc:
-        _fail(str(exc))
-        return 2
     except LimitExceededError as exc:
         _fail(str(exc))
         return 3
-    except FDKitError as exc:
-        _fail(str(exc))
-        return 2
-    except OSError as exc:
-        _fail(str(exc))
-        return 2
-    except ValueError as exc:
+    except (UsageError, FDKitError, OSError, ValueError) as exc:
         _fail(str(exc))
         return 2
 

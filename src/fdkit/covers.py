@@ -46,7 +46,7 @@ def reduced_cover(sigma: FDSet) -> FDSet:
         lhs = work[i].lhs
         for a in tuple(lhs):
             trial = lhs - AttributeSet([a])
-            if rhs.members <= _close(work, trial):
+            if rhs <= _close(work, trial):
                 lhs = trial
                 work[i] = FD(lhs, rhs)
     return FDSet(work, universe=sigma.universe)
@@ -88,7 +88,7 @@ def minimum_cover(sigma: FDSet) -> FDSet:
     work = list(sigma)
     for fd in sigma:
         work.remove(fd)
-        if not fd.rhs.members <= _close(work, fd.lhs):
+        if not fd.rhs <= _close(work, fd.lhs):
             closed = FD(fd.lhs, sigma.closure(fd.lhs))
             if closed not in work:
                 work.append(closed)
@@ -110,7 +110,7 @@ def project_fds(
     attributes are refused with :class:`LimitExceededError`.
     """
     x = AttributeSet(x)
-    _require_within(x.members, sigma.universe.members, "projection attributes outside the universe")
+    _require_within(x, sigma.universe, "projection attributes outside the universe")
     check_limit("projection", len(x), limit)
     out = []
     for s in _subsets(x):

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .covers import canonical_cover, nonredundant_cover, project_fds, reduced_cover
 from .errors import UniverseMismatchError, check_limit
-from .fds import Attribute, AttributeSet, AttrsLike, FDSet, _require_within, _subsets
+from .fds import Attribute, AttributeSet, AttrsLike, FDSet, _attrset, _require_within, _subsets
 from .instances import Relation, _chase, is_lossless_on
 
 __all__ = [
@@ -52,8 +52,10 @@ class RelationScheme:
     name: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "attrs", AttributeSet(self.attrs))
-        object.__setattr__(self, "fds", FDSet(self.fds, universe=self.attrs))
+        attrs = AttributeSet(self.attrs)
+        object.__setattr__(self, "attrs", attrs)
+        if not (isinstance(self.fds, FDSet) and self.fds.universe == attrs):
+            object.__setattr__(self, "fds", FDSet(self.fds, universe=attrs))
 
     def __str__(self) -> str:
         label = self.name or "scheme"
@@ -78,10 +80,7 @@ class DatabaseSchema:
 
     @property
     def universe(self) -> AttributeSet:
-        out = AttributeSet()
-        for s in self.schemes:
-            out = out | s.attrs
-        return out
+        return _attrset(frozenset().union(*(s.attrs for s in self.schemes)))
 
     def global_fds(self) -> FDSet:
         fds = []
@@ -172,14 +171,14 @@ class RepresentsReport:
 def is_determinant(scheme: RelationScheme, sigma: FDSet, x: AttrsLike) -> bool:
     """Whether ``x`` determines at least one scheme attribute beyond itself."""
     x = AttributeSet(x)
-    _require_within(x.members, scheme.attrs.members, "attributes outside the scheme")
+    _require_within(x, scheme.attrs, "attributes outside the scheme")
     return bool((sigma.closure(x) & scheme.attrs) - x)
 
 
 def is_superkey(scheme: RelationScheme, sigma: FDSet, x: AttrsLike) -> bool:
     """Whether ``x`` determines every attribute of the scheme."""
     x = AttributeSet(x)
-    _require_within(x.members, scheme.attrs.members, "attributes outside the scheme")
+    _require_within(x, scheme.attrs, "attributes outside the scheme")
     return scheme.attrs <= sigma.closure(x)
 
 
@@ -223,7 +222,7 @@ def is_prime(
     limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> bool:
     """Whether ``a`` belongs to some key of the scheme."""
-    _require_within(AttributeSet([a]).members, scheme.attrs.members, "attributes outside the scheme")
+    _require_within(AttributeSet([a]), scheme.attrs, "attributes outside the scheme")
     return any(a in key for key in enumerate_keys(scheme, sigma, limit))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .design import DatabaseSchema, RelationScheme
-from .fds import FD, Attribute, AttributeSet, FDSet
+from .fds import FD, Attribute, AttributeSet, FDSet, _require_within
 from .reductions import RESERVED_C, RESERVED_D
 
 __all__ = [
@@ -275,12 +275,11 @@ def parse_schema(text: str) -> ParseResult:
         mentioned.update(fd.attributes)
     universe = AttributeSet(declared | mentioned)
     sigma = FDSet([fd for fd, _ in parser.fd_decls], universe=universe)
-    mentions = [(fd, fd.attributes.members) for fd in sigma]
+    mentions = [(fd, fd.attributes) for fd in sigma]
     schemes = []
     for name, attrs, _ in parser.scheme_decls:
         attr_set = AttributeSet(attrs)
-        inside = attr_set.members
-        local = FDSet([fd for fd, used in mentions if used <= inside], universe=attr_set)
+        local = FDSet([fd for fd, used in mentions if used <= attr_set], universe=attr_set)
         schemes.append(RelationScheme(attr_set, local, name=name))
     document = SchemaDocument(
         schemes=tuple(schemes),
@@ -298,7 +297,8 @@ def parse_fd_text(text: str, universe: Optional[AttributeSet] = None) -> FD:
     """Parse a single ``A, B -> C`` string, as accepted on the command line.
 
     Raises ``ValueError`` on malformed input; attribute membership is
-    checked against ``universe`` when one is given.
+    checked against ``universe`` when one is given, and a stray attribute
+    raises :class:`UnknownAttributeError`, itself a ``ValueError``.
     """
     arrow = _ARROW.search(text)
     if not arrow:
@@ -314,7 +314,5 @@ def parse_fd_text(text: str, universe: Optional[AttributeSet] = None) -> FD:
             raise ValueError(f"reserved attribute name: {name}")
     fd = FD(lhs_names, rhs_names)
     if universe is not None:
-        stray = fd.attributes - universe
-        if stray:
-            raise ValueError(f"attributes outside the universe: {stray}")
+        _require_within(fd.attributes, AttributeSet(universe), "attributes outside the universe")
     return fd

@@ -62,112 +62,73 @@ class Attribute(str):
 AttrsLike = Union["AttributeSet", str, Iterable[Union[Attribute, str]]]
 
 
-class AttributeSet:
+class AttributeSet(frozenset):
     """An immutable set of attributes that iterates in name order.
 
-    The constructor accepts another :class:`AttributeSet`, an iterable of
-    :class:`Attribute` or name strings, or a single string that is split
-    on commas and whitespace: ``AttributeSet("A B")`` equals
-    ``AttributeSet(["A", "B"])``.  (A string without separators is one
-    attribute, not a sequence of characters.)
+    A ``frozenset`` of :class:`Attribute`, so membership, length, equality,
+    hashing and the subset comparisons are those of ``frozenset``: an
+    attribute set equals a plain ``frozenset`` or ``set`` of the same
+    names.  The constructor accepts another :class:`AttributeSet`
+    (returned as is), an iterable of :class:`Attribute` or name strings,
+    or a single string that is split on commas and whitespace:
+    ``AttributeSet("A B")`` equals ``AttributeSet(["A", "B"])``.  (A
+    string without separators is one attribute, not a sequence of
+    characters.)
 
     Iteration order is the sorted order of names, so rendering is
-    deterministic.  The set may be empty.
+    deterministic.  The operators ``|``, ``&`` and ``-`` between two
+    attribute sets return an attribute set.  The named methods ``union``,
+    ``intersection``, ``difference`` and ``copy`` are those of
+    ``frozenset`` and return plain, unordered frozensets.  The set may be
+    empty.
     """
 
-    __slots__ = ("_members", "_ordered")
+    __slots__ = ("_ordered",)
 
-    def __init__(self, members: AttrsLike = ()):
+    def __new__(cls, members: AttrsLike = ()):
         if isinstance(members, AttributeSet):
-            self._members = members._members
-            self._ordered = members._ordered
-            return
+            return members
         if isinstance(members, str):
             text = members.strip()
             members = _SPLIT.split(text) if text else []
-        self._members = frozenset(
-            m if isinstance(m, Attribute) else Attribute(m) for m in members
-        )
-        self._ordered = None
-
-    @classmethod
-    def _from_frozen(cls, members: frozenset) -> "AttributeSet":
-        obj = cls.__new__(cls)
-        obj._members = members
-        obj._ordered = None
-        return obj
-
-    @property
-    def members(self) -> frozenset:
-        return self._members
+        return _attrset(m if isinstance(m, Attribute) else Attribute(m) for m in members)
 
     @property
     def names(self) -> tuple:
         return tuple(a.name for a in self)
 
-    def _tuple(self) -> tuple:
-        if self._ordered is None:
-            self._ordered = tuple(sorted(self._members))
-        return self._ordered
-
     def __iter__(self) -> Iterator[Attribute]:
-        return iter(self._tuple())
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __bool__(self) -> bool:
-        return bool(self._members)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._members
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AttributeSet) and self._members == other._members
-
-    def __hash__(self) -> int:
-        return hash(self._members)
+        if self._ordered is None:
+            self._ordered = tuple(sorted(frozenset.__iter__(self)))
+        return iter(self._ordered)
 
     def __or__(self, other: "AttributeSet") -> "AttributeSet":
         if not isinstance(other, AttributeSet):
             return NotImplemented
-        return AttributeSet._from_frozen(self._members | other._members)
+        return _attrset(frozenset.__or__(self, other))
 
     def __and__(self, other: "AttributeSet") -> "AttributeSet":
         if not isinstance(other, AttributeSet):
             return NotImplemented
-        return AttributeSet._from_frozen(self._members & other._members)
+        return _attrset(frozenset.__and__(self, other))
 
     def __sub__(self, other: "AttributeSet") -> "AttributeSet":
         if not isinstance(other, AttributeSet):
             return NotImplemented
-        return AttributeSet._from_frozen(self._members - other._members)
-
-    def __le__(self, other: "AttributeSet") -> bool:
-        if not isinstance(other, AttributeSet):
-            return NotImplemented
-        return self._members <= other._members
-
-    def __lt__(self, other: "AttributeSet") -> bool:
-        if not isinstance(other, AttributeSet):
-            return NotImplemented
-        return self._members < other._members
-
-    def __ge__(self, other: "AttributeSet") -> bool:
-        if not isinstance(other, AttributeSet):
-            return NotImplemented
-        return self._members >= other._members
-
-    def __gt__(self, other: "AttributeSet") -> bool:
-        if not isinstance(other, AttributeSet):
-            return NotImplemented
-        return self._members > other._members
+        return _attrset(frozenset.__sub__(self, other))
 
     def __str__(self) -> str:
         return " ".join(self)
 
     def __repr__(self) -> str:
         return f"AttributeSet({str(self)!r})"
+
+
+def _attrset(members: Iterable[Attribute]) -> AttributeSet:
+    """An :class:`AttributeSet` of members already known to be attributes."""
+    out = frozenset.__new__(AttributeSet, members)
+    out._ordered = None
+    return out
 
 
 class FD:
@@ -256,7 +217,7 @@ def _nonredundant(fds: Sequence[FD]) -> list:
     while i < len(work):
         fd = work[i]
         rest = work[:i] + work[i + 1 :]
-        if fd.rhs.members <= _close(rest, fd.lhs):
+        if fd.rhs <= _close(rest, fd.lhs):
             work = rest
         else:
             i += 1
@@ -271,7 +232,7 @@ def _subsets(attrs: AttributeSet) -> Iterator[AttributeSet]:
     members = tuple(attrs)
     for size in range(len(members) + 1):
         for combo in combinations(members, size):
-            yield AttributeSet._from_frozen(frozenset(combo))
+            yield _attrset(combo)
 
 
 class FDSet:
@@ -296,12 +257,12 @@ class FDSet:
                 seen.add(fd)
                 kept.append(fd)
         self._fds = tuple(kept)
-        mentioned = frozenset().union(*(fd.attributes.members for fd in kept)) if kept else frozenset()
+        mentioned = _attrset(frozenset().union(*(fd.attributes for fd in kept)))
         if universe is None:
-            self._universe = AttributeSet._from_frozen(mentioned)
+            self._universe = mentioned
         else:
             self._universe = AttributeSet(universe)
-            _require_within(mentioned, self._universe.members, "attributes outside the universe")
+            _require_within(mentioned, self._universe, "attributes outside the universe")
 
     @property
     def universe(self) -> AttributeSet:
@@ -347,8 +308,8 @@ class FDSet:
         fixpoint: closing it again changes nothing.
         """
         x = AttributeSet(x)
-        _require_within(x.members, self._universe.members, "attributes outside the universe")
-        return AttributeSet._from_frozen(frozenset(_close(self._fds, x)))
+        _require_within(x, self._universe, "attributes outside the universe")
+        return _attrset(_close(self._fds, x))
 
     def implies(self, fd: FD) -> bool:
         """Whether every relation satisfying this set satisfies ``fd``.
@@ -356,10 +317,8 @@ class FDSet:
         Decided semantically: ``fd.rhs`` must lie inside the closure of
         ``fd.lhs``.
         """
-        _require_within(
-            fd.attributes.members, self._universe.members, "dependency attributes outside the universe"
-        )
-        return fd.rhs.members <= _close(self._fds, fd.lhs)
+        _require_within(fd.attributes, self._universe, "dependency attributes outside the universe")
+        return fd.rhs <= _close(self._fds, fd.lhs)
 
     def _covers(self, other: "FDSet") -> bool:
         cache: dict = {}
@@ -368,7 +327,7 @@ class FDSet:
             if cl is None:
                 cl = _close(self._fds, fd.lhs)
                 cache[fd.lhs] = cl
-            if not fd.rhs.members <= cl:
+            if not fd.rhs <= cl:
                 return False
         return True
 

@@ -18,7 +18,7 @@ import random
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import CoverageError, RelationFormatError, check_limit
-from .fds import FD, Attribute, AttributeSet, AttrsLike, FDSet, _require_within
+from .fds import FD, Attribute, AttributeSet, AttrsLike, FDSet, _attrset, _require_within
 
 __all__ = [
     "Row",
@@ -55,7 +55,7 @@ class Row:
 
     @property
     def scheme(self) -> AttributeSet:
-        return AttributeSet._from_frozen(frozenset(self._values))
+        return _attrset(self._values)
 
     def __getitem__(self, attr) -> Token:
         try:
@@ -68,8 +68,8 @@ class Row:
         """The same row narrowed to the attributes ``y`` (a subset of the
         scheme).  Restricting to the full scheme is the identity."""
         y = AttributeSet(y)
-        _require_within(y.members, self._values, "attributes outside the row's scheme")
-        return Row({a: self._values[a] for a in y.members})
+        _require_within(y, self._values, "attributes outside the row's scheme")
+        return Row({a: self._values[a] for a in y})
 
     def items(self):
         return sorted(self._values.items())
@@ -97,7 +97,7 @@ class Relation:
         collected = set()
         for r in rows:
             row = r if isinstance(r, Row) else Row(r)
-            if frozenset(row._values) != self._scheme.members:
+            if self._scheme != row._values.keys():
                 raise ValueError(
                     f"row scheme {row.scheme} does not match relation scheme {self._scheme}"
                 )
@@ -156,15 +156,13 @@ class Relation:
     def project(self, y: AttrsLike) -> "Relation":
         """Projection onto ``y``: restrict every row, collapsing duplicates."""
         y = AttributeSet(y)
-        _require_within(y.members, self._scheme.members, "attributes outside the scheme")
-        wanted = y.members
-        return Relation(
-            y, (Row({a: row._values[a] for a in wanted}) for row in self._rows)
-        )
+        _require_within(y, self._scheme, "attributes outside the scheme")
+        attrs = tuple(y)
+        return Relation(y, (Row({a: row._values[a] for a in attrs}) for row in self._rows))
 
     def satisfies(self, fd: FD) -> bool:
         """Whether no two rows agree on ``fd.lhs`` yet differ on ``fd.rhs``."""
-        _require_within(fd.attributes.members, self._scheme.members, "attributes outside the scheme")
+        _require_within(fd.attributes, self._scheme, "attributes outside the scheme")
         lhs = tuple(fd.lhs)
         rhs = tuple(fd.rhs)
         groups: dict = {}
@@ -261,9 +259,7 @@ def is_lossless_on(instance: Relation, parts: Sequence[AttrsLike]) -> bool:
     scheme.
     """
     parts = [AttributeSet(p) for p in parts]
-    union = AttributeSet()
-    for p in parts:
-        union = union | p
+    union = _attrset(frozenset().union(*parts))
     if union != instance.scheme:
         raise CoverageError(
             f"parts cover {union}, expected the full scheme {instance.scheme}"
@@ -303,9 +299,7 @@ def oracle_implies(sigma: FDSet, fd: FD, limit: int = DEFAULT_ORACLE_LIMIT) -> b
     oracle for :meth:`FDSet.implies`.  Universes beyond ``limit``
     attributes are refused.
     """
-    _require_within(
-        fd.attributes.members, sigma.universe.members, "dependency attributes outside the universe"
-    )
+    _require_within(fd.attributes, sigma.universe, "dependency attributes outside the universe")
     n = len(sigma.universe)
     check_limit("implication oracle", n, limit)
     position = {a: i for i, a in enumerate(sigma.universe)}

@@ -54,8 +54,8 @@ class HittingSetInstance:
         for s in self.subsets:
             if not s:
                 raise InstanceFormatError("subsets must be non-empty")
-            if not s.members <= universe:
-                stray = " ".join(sorted(s.members - universe))
+            if not s <= universe:
+                stray = " ".join(sorted(s.difference(universe)))
                 raise InstanceFormatError(f"subset uses unknown elements: {stray}")
 
 
@@ -112,7 +112,7 @@ def solve_hitting_set(
     """
     check_limit("hitting-set search", len(instance.ground), limit)
     elements = sorted(instance.ground)
-    sets = [s.members for s in instance.subsets]
+    sets = instance.subsets
     containing = [
         [j for j, s in enumerate(sets) if e in s] for e in elements
     ]

@@ -166,6 +166,24 @@ class TestSchemaOutputs:
         assert [str(s.attrs) for s in reparsed.document.schemes] == ["C D E", "A B E"]
         assert "# dependency preserving: true" in out
 
+    def test_generated_scheme_names_do_not_repeat_a_declared_one(self, tmp_path, capsys):
+        # S splits into unnamed parts at positions 2 and 3, and the
+        # declared R2 already holds the default name of position 2
+        path = tmp_path / "named.fd"
+        path.write_text("scheme R2(A, B)\nscheme S(A, C, D)\nfd C -> D\nfd A -> B\n")
+        code, out, _ = run(capsys, ["decompose", "--bcnf", "--schema", str(path)])
+        assert code == 0
+        schemes = [l for l in out.splitlines() if l.startswith("scheme ")]
+        assert schemes == ["scheme R2(A, B)", "scheme R2_2(C, D)", "scheme R3(A, C)"]
+        body = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
+        assert parse_schema(body).ok
+        reparsed = tmp_path / "out.fd"
+        reparsed.write_text(body + "\n")
+        assert run(capsys, ["check", "--nf", "bcnf", "--schema", str(reparsed)])[0] == 0
+        code, out, _ = run(capsys, ["decompose", "--bcnf", "--json", "--schema", str(path)])
+        names = [s["name"] for s in json.loads(out)["result"]["schemes"]]
+        assert names == ["R2", "R2_2", "R3"]
+
     def test_synthesize_output_reparses(self, files, capsys):
         code, out, _ = run(capsys, ["synthesize", "--3nf", "--schema", files["chain.fd"]])
         assert code == 0

@@ -76,6 +76,13 @@ class TestSchemeTypes:
         with pytest.raises(UnknownAttributeError):
             RelationScheme("A B", fdset("A -> C"))
 
+    def test_keeps_a_dependency_set_over_exactly_its_attributes(self):
+        f = fdset("A -> B", universe="A B C")
+        assert RelationScheme(AttributeSet("A B C"), f).fds is f
+        # any other set is rebuilt over the scheme's attributes
+        for other in (fdset("A -> B", universe="A B C D"), fdset("A -> B"), [fd("A -> B")]):
+            assert RelationScheme("A B C", other).fds == f
+
     def test_universe_is_the_union(self):
         db = DatabaseSchema(
             (universal("A B", "A -> B"), universal("B C", "B -> C"))

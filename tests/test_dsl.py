@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fdkit import AttributeSet, parse_fd_text, parse_schema
+from fdkit import AttributeSet, UnknownAttributeError, parse_fd_text, parse_schema
 
 from util import fd, fdset
 
@@ -164,3 +164,6 @@ class TestParseFdText:
     def test_universe_membership_check(self):
         with pytest.raises(ValueError):
             parse_fd_text("A -> Z", universe=AttributeSet("A B"))
+        with pytest.raises(UnknownAttributeError) as caught:
+            parse_fd_text("Z, A -> Y", universe=AttributeSet("A B"))
+        assert str(caught.value) == "attributes outside the universe: Y Z"

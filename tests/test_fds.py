@@ -1,6 +1,7 @@
 """Attribute, AttributeSet, FD, and FDSet behaviour, including the
 closure laws."""
 
+import pickle
 import random
 
 import pytest
@@ -97,6 +98,43 @@ class TestAttributeSet:
 
     def test_hashable(self):
         assert len({AttributeSet("A B"), AttributeSet("B A")}) == 1
+
+    def test_is_a_frozenset(self):
+        assert isinstance(AttributeSet("A B"), frozenset)
+
+    def test_operators_keep_the_name_order(self):
+        # 200 names, so that hash order would show
+        names = [f"N{i}" for i in range(200)]
+        left = AttributeSet(names[::2] + names[100:])
+        right = AttributeSet(names[50:150])
+        for got, want in (
+            (left | right, set(left) | set(right)),
+            (left & right, set(left) & set(right)),
+            (left - right, set(left) - set(right)),
+        ):
+            assert type(got) is AttributeSet
+            assert list(got) == sorted(want)
+            assert got.names == tuple(sorted(want))
+
+    def test_rewrapping_returns_the_same_set(self):
+        s = AttributeSet("B A")
+        assert AttributeSet(s) is s
+
+    def test_equals_and_hashes_like_a_frozenset_of_its_names(self):
+        s = AttributeSet("B A")
+        assert s == frozenset({"A", "B"}) and s == {"A", "B"}
+        assert hash(s) == hash(frozenset({"A", "B"}))
+        assert AttributeSet() == frozenset()
+
+    def test_operators_refuse_a_non_set(self):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            AttributeSet("A") | "B"
+
+    def test_pickle_keeps_type_and_order(self):
+        s = AttributeSet([f"N{i}" for i in range(200)])
+        back = pickle.loads(pickle.dumps(s))
+        assert type(back) is AttributeSet
+        assert back == s and list(back) == list(s)
 
 
 class TestFD:
