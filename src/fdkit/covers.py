@@ -14,8 +14,7 @@ from .fds import (
     AttributeSet,
     AttrsLike,
     FDSet,
-    _close,
-    _nonredundant,
+    _ClosureIndex,
     _require_within,
     _subsets,
 )
@@ -40,16 +39,15 @@ def reduced_cover(sigma: FDSet) -> FDSet:
     ``(X - A) -> Y``.  Later dependencies are tested against the already
     rewritten set.
     """
-    work = list(sigma)
-    for i in range(len(work)):
-        rhs = work[i].rhs
-        lhs = work[i].lhs
+    index = _ClosureIndex(list(sigma))
+    for i, fd in enumerate(sigma):
+        lhs = fd.lhs
         for a in tuple(lhs):
             trial = lhs - AttributeSet([a])
-            if rhs <= _close(work, trial):
+            if index.close(trial, target=fd.rhs):
                 lhs = trial
-                work[i] = FD(lhs, rhs)
-    return FDSet(work, universe=sigma.universe)
+                index.shrink(i, lhs)
+    return FDSet(index.fds, universe=sigma.universe)
 
 
 def nonredundant_cover(sigma: FDSet) -> FDSet:
@@ -58,7 +56,7 @@ def nonredundant_cover(sigma: FDSet) -> FDSet:
     Greedy scan in collection order; each removal is in place, so later
     members are tested against the already shrunk set.
     """
-    return FDSet(_nonredundant(sigma.fds), universe=sigma.universe)
+    return FDSet(_ClosureIndex(sigma.fds).sweep(), universe=sigma.universe)
 
 
 def canonical_cover(sigma: FDSet) -> FDSet:
@@ -85,14 +83,14 @@ def minimum_cover(sigma: FDSet) -> FDSet:
     result is closed and non-redundant, which guarantees minimum size
     among all covers.
     """
-    work = list(sigma)
-    for fd in sigma:
-        work.remove(fd)
-        if not fd.rhs <= _close(work, fd.lhs):
-            closed = FD(fd.lhs, sigma.closure(fd.lhs))
-            if closed not in work:
-                work.append(closed)
-    return nonredundant_cover(FDSet(work, universe=sigma.universe))
+    index = _ClosureIndex(list(sigma))
+    for i, fd in enumerate(sigma):
+        index.drop(i)
+        if not index.close(fd.lhs, target=fd.rhs):
+            # Never a duplicate: were it in the remainder already, the
+            # remainder would imply X -> Y.
+            index.add(FD(fd.lhs, sigma.closure(fd.lhs)))
+    return FDSet(index.sweep(), universe=sigma.universe)
 
 
 def project_fds(

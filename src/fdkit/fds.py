@@ -8,7 +8,8 @@ attribute-set closure, implication, equivalence, and redundancy.
 
 All values here are immutable after construction and every operation is a
 pure function of its inputs, so everything is safe to share across
-threads.
+threads.  (An :class:`FDSet` fills a private closure cache on first use,
+and never changes it afterwards.)
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ __all__ = ["Attribute", "AttributeSet", "FD", "FDSet", "AttrsLike"]
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _SPLIT = re.compile(r"[\s,]+")
 _INTERNED: dict = {}  # name -> its one Attribute; see Attribute
+_NOTHING = frozenset()
+_members = frozenset.__iter__  # unordered, without AttributeSet's sorted cache
 
 
 class Attribute(str):
@@ -164,39 +167,117 @@ class FD:
         return f"FD({str(self.lhs)!r}, {str(self.rhs)!r})"
 
 
-def _close(fds: Sequence[FD], seed: Iterable[Attribute]) -> set:
-    """Closure of ``seed`` under ``fds`` as a plain set of attributes.
+class _ClosureIndex:
+    """The LinClosure index of a list of dependencies (Beeri & Bernstein,
+    TODS 1979), built once and asked many closures.
 
-    Change-tracking worklist: each dependency keeps a count of left-side
-    attributes not yet reached and fires at most once, so the cost is
-    linear in the total size of ``fds`` plus the seed.
+    ``need[i]`` counts the left-side attributes of member ``i``, and
+    ``waiting`` maps each attribute to the members whose left side
+    contains it.  Members with an empty left side wait in ``free``
+    instead, with a count of one, as if on an attribute every closure
+    reaches.  A closure copies ``need`` as its counters, walks the newly
+    reached attributes through ``waiting``, and fires a member when its
+    counter reaches zero.  Each member fires at most once, so beyond the
+    copy of the counters the cost is linear in the size of the members it
+    touches plus the seed.  The sides are read from the dependencies
+    themselves: the index holds no copy of them.
+
+    The cover rewrites change their own private index in place: a dropped
+    member's count is ``-1``, which never reaches zero, and a shrunk left
+    side leaves the lists of the attributes it lost.  The index an
+    :class:`FDSet` caches is never changed.
     """
-    reached = set(seed)
-    waiting: dict = {}
-    missing = []
-    queue: list = []
-    for i, fd in enumerate(fds):
-        count = 0
-        for a in fd.lhs:
-            if a not in reached:
-                count += 1
-                waiting.setdefault(a, []).append(i)
-        missing.append(count)
-        if count == 0:
-            for b in fd.rhs:
-                if b not in reached:
-                    reached.add(b)
-                    queue.append(b)
-    while queue:
-        a = queue.pop()
-        for i in waiting.get(a, ()):
-            missing[i] -= 1
-            if missing[i] == 0:
-                for b in fds[i].rhs:
-                    if b not in reached:
-                        reached.add(b)
-                        queue.append(b)
-    return reached
+
+    __slots__ = ("fds", "need", "waiting", "free")
+
+    def __init__(self, fds: Sequence[FD]):
+        self.fds = fds
+        self.need: list = []
+        self.waiting: dict = {}
+        self.free: list = []
+        for fd in fds:
+            self._enter(fd)
+
+    def _enter(self, fd: FD) -> None:
+        i = len(self.need)
+        self.need.append(len(fd.lhs) or 1)
+        if not fd.lhs:
+            self.free.append(i)
+        for a in _members(fd.lhs):
+            self.waiting.setdefault(a, []).append(i)
+
+    def add(self, fd: FD) -> None:
+        """Append ``fd`` as a new member."""
+        self.fds.append(fd)
+        self._enter(fd)
+
+    def drop(self, i: int) -> None:
+        """Remove member ``i``: it never fires again."""
+        self.need[i] = -1
+
+    def shrink(self, i: int, lhs: AttributeSet) -> None:
+        """Give member ``i`` the left side ``lhs``, a subset of its own."""
+        old = self.fds[i]
+        for a in old.lhs.difference(lhs):
+            self.waiting[a].remove(i)
+        self.need[i] = len(lhs) or 1
+        if not lhs:
+            self.free.append(i)
+        self.fds[i] = FD(lhs, old.rhs)
+
+    def sweep(self) -> list:
+        """The greedy non-redundancy sweep: in member order, drop each
+        member implied by the other live members, so later members are
+        tested against the already shrunk set.  Returns the survivors in
+        order."""
+        fds = self.fds
+        for i in range(len(fds)):
+            if self.need[i] >= 0 and self.close(fds[i].lhs, i, fds[i].rhs):
+                self.drop(i)
+        return [fd for fd, n in zip(fds, self.need) if n >= 0]
+
+    def close(self, seed: Iterable[Attribute], skip: int = -1, target: AbstractSet | None = None):
+        """The closure of ``seed`` under the live members other than
+        ``skip``, as a plain set.
+
+        With a ``target``, returns instead whether the closure contains
+        the target, stopping as soon as it does.
+        """
+        reached = set(seed)
+        left = _NOTHING
+        if target is not None:
+            left = target.difference(reached)
+            if not left:
+                return True
+        remaining = len(left)
+        waiting = self.waiting
+        # A queue entry is the member list of one newly reached attribute.
+        queue = []
+        for a in reached:
+            if a in waiting:
+                queue.append(waiting[a])
+        if self.free:
+            queue.append(self.free)
+        if queue:
+            count = self.need[:]
+            if skip >= 0:
+                count[skip] = -1
+            fds = self.fds
+            while queue:
+                for i in queue.pop():
+                    count[i] -= 1
+                    if not count[i]:
+                        for b in _members(fds[i].rhs):
+                            if b not in reached:
+                                reached.add(b)
+                                if b in left:
+                                    remaining -= 1
+                                    if not remaining:
+                                        return True
+                                members = waiting.get(b)
+                                if members:
+                                    queue.append(members)
+        return reached if target is None else False
 
 
 def _require_within(attrs: AbstractSet, allowed: Collection, what: str) -> None:
@@ -206,22 +287,6 @@ def _require_within(attrs: AbstractSet, allowed: Collection, what: str) -> None:
     stray = attrs.difference(allowed)
     if stray:
         raise UnknownAttributeError(f"{what}: {' '.join(map(str, sorted(stray)))}")
-
-
-def _nonredundant(fds: Sequence[FD]) -> list:
-    """The greedy non-redundancy sweep: scan in collection order and drop
-    each member implied by the others; each removal is in place, so later
-    members are tested against the already shrunk list."""
-    work = list(fds)
-    i = 0
-    while i < len(work):
-        fd = work[i]
-        rest = work[:i] + work[i + 1 :]
-        if fd.rhs <= _close(rest, fd.lhs):
-            work = rest
-        else:
-            i += 1
-    return work
 
 
 def _subsets(attrs: AttributeSet) -> Iterator[AttributeSet]:
@@ -243,9 +308,16 @@ class FDSet:
     universe is given it defaults to the union of the dependencies'
     attributes; an explicit universe must contain every mentioned
     attribute.
+
+    Closure, implication, equivalence and redundancy all ask one
+    :class:`_ClosureIndex`, built on the first such question and kept for
+    the life of the set; implication tests stop as soon as the right side
+    is reached.  The index is never changed after it is built, so the set
+    stays safe to share across threads: two threads racing to build it
+    each build an equal one, and either may be kept.  It is not pickled.
     """
 
-    __slots__ = ("_fds", "_universe")
+    __slots__ = ("_fds", "_universe", "_index")
 
     def __init__(self, fds: Iterable[FD] = (), universe: AttrsLike | None = None):
         kept = []
@@ -257,7 +329,10 @@ class FDSet:
                 seen.add(fd)
                 kept.append(fd)
         self._fds = tuple(kept)
-        mentioned = _attrset(frozenset().union(*(fd.attributes for fd in kept)))
+        self._index = None
+        mentioned = _attrset(
+            frozenset().union(*(fd.lhs for fd in kept), *(fd.rhs for fd in kept))
+        )
         if universe is None:
             self._universe = mentioned
         else:
@@ -294,6 +369,9 @@ class FDSet:
     def __hash__(self) -> int:
         return hash((self._universe, self._fds))
 
+    def __reduce__(self):
+        return (FDSet, (self._fds, self._universe))
+
     def __str__(self) -> str:
         return "; ".join(str(fd) for fd in self._fds)
 
@@ -309,7 +387,7 @@ class FDSet:
         """
         x = AttributeSet(x)
         _require_within(x, self._universe, "attributes outside the universe")
-        return _attrset(_close(self._fds, x))
+        return _attrset(self._closure_index().close(x))
 
     def implies(self, fd: FD) -> bool:
         """Whether every relation satisfying this set satisfies ``fd``.
@@ -318,18 +396,17 @@ class FDSet:
         ``fd.lhs``.
         """
         _require_within(fd.attributes, self._universe, "dependency attributes outside the universe")
-        return fd.rhs <= _close(self._fds, fd.lhs)
+        return self._closure_index().close(fd.lhs, target=fd.rhs)
+
+    def _closure_index(self) -> _ClosureIndex:
+        index = self._index
+        if index is None:
+            index = self._index = _ClosureIndex(self._fds)
+        return index
 
     def _covers(self, other: "FDSet") -> bool:
-        cache: dict = {}
-        for fd in other:
-            cl = cache.get(fd.lhs)
-            if cl is None:
-                cl = _close(self._fds, fd.lhs)
-                cache[fd.lhs] = cl
-            if not fd.rhs <= cl:
-                return False
-        return True
+        close = self._closure_index().close
+        return all(close(fd.lhs, target=fd.rhs) for fd in other)
 
     def equivalent(self, other: "FDSet") -> bool:
         """Whether the two sets are satisfied by exactly the same relations.
@@ -347,4 +424,5 @@ class FDSet:
 
     def is_redundant(self) -> bool:
         """Whether some member is already implied by the others."""
-        return len(_nonredundant(self._fds)) < len(self._fds)
+        close = self._closure_index().close
+        return any(close(fd.lhs, i, fd.rhs) for i, fd in enumerate(self._fds))

@@ -378,6 +378,22 @@ def _chase(sigma: FDSet, parts: Sequence[AttributeSet]) -> Relation:
     return Relation(sigma.universe, [Row(r) for r in rows])
 
 
+def _fixpoint(sigma: FDSet, seed: Iterable[Attribute]) -> set:
+    """Closure of ``seed`` under ``sigma`` by the naive fixpoint: pass
+    over the dependencies, firing each whose left side is reached, until
+    a pass adds nothing.  The generator uses it so that its instances stay
+    an independent check on the closure kernel."""
+    reached = set(seed)
+    grew = True
+    while grew:
+        grew = False
+        for fd in sigma:
+            if fd.lhs <= reached and not fd.rhs <= reached:
+                reached |= fd.rhs
+                grew = True
+    return reached
+
+
 def random_satisfying_instance(
     sigma: FDSet,
     rng: random.Random,
@@ -398,11 +414,10 @@ def random_satisfying_instance(
     if not universe:
         return Relation(universe, [Row({})])
     attrs = tuple(universe)
-    base = sigma.closure(AttributeSet())
+    base = _fixpoint(sigma, ())
     rows: list = []
     for w in range(rng.randint(1, max_witnesses)):
-        seed = AttributeSet([a for a in attrs if rng.random() < 0.5])
-        closed = sigma.closure(seed)
+        closed = _fixpoint(sigma, [a for a in attrs if rng.random() < 0.5])
         u = {a: f"{a.name}.{w}a" for a in attrs}
         v = {a: (u[a] if a in closed else f"{a.name}.{w}b") for a in attrs}
         for a in base:
@@ -414,8 +429,7 @@ def random_satisfying_instance(
         if len(rows) < 2:
             break
         i, j = rng.sample(range(len(rows)), 2)
-        seed = AttributeSet([a for a in attrs if rng.random() < 0.5])
-        for a in sigma.closure(seed):
+        for a in _fixpoint(sigma, [a for a in attrs if rng.random() < 0.5]):
             rows[j][a] = rows[i][a]
     _unify(sigma, rows)
     return Relation(universe, [Row(r) for r in rows])

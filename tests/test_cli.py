@@ -311,11 +311,19 @@ class TestLimitsAndEnvironment:
         assert code == 0 and out.strip() == "true"
 
 
-def test_module_runs_as_a_script(files):
+def _run_module(module, *args):
     src = str(Path(fdkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fdkit.cli", "closure", "--of", "A", "--schema", files["chain.fd"]],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_module_runs_as_a_script(files):
+    proc = _run_module("fdkit.cli", "closure", "--of", "A", "--schema", files["chain.fd"])
+    assert (proc.returncode, proc.stdout.strip()) == (0, "A B C")
+
+
+def test_package_runs_as_a_script(files):
+    proc = _run_module("fdkit", "closure", "--of", "A", "--schema", files["chain.fd"])
     assert (proc.returncode, proc.stdout.strip()) == (0, "A B C")

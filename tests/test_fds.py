@@ -18,11 +18,16 @@ from fdkit import (
     Row,
     UniverseMismatchError,
     UnknownAttributeError,
+    canonical_cover,
     is_prime,
     is_superkey,
+    minimum_cover,
+    nonredundant_cover,
     oracle_implies,
     project_fds,
+    reduced_cover,
 )
+from fdkit.fds import _ClosureIndex, _subsets
 
 from util import LETTERS, fd, fdset, random_fdset, random_subset
 
@@ -322,3 +327,139 @@ class TestClosureAgainstOracle:
             closed = sigma.closure(x)
             for a in universe:
                 assert (a in closed) == oracle_implies(sigma, FD(x, [a]))
+
+
+def _plain_closure(fds, seed) -> set:
+    """Closure by the naive fixpoint, independent of fdkit's index."""
+    reached = set(seed)
+    grew = True
+    while grew:
+        grew = False
+        for f in fds:
+            if f.lhs <= reached and not f.rhs <= reached:
+                reached |= f.rhs
+                grew = True
+    return reached
+
+
+def _plain_sweep(fds) -> list:
+    work = list(fds)
+    i = 0
+    while i < len(work):
+        rest = work[:i] + work[i + 1 :]
+        if work[i].rhs <= _plain_closure(rest, work[i].lhs):
+            work = rest
+        else:
+            i += 1
+    return work
+
+
+def _plain_reduced(fds) -> list:
+    work = list(fds)
+    for i, f in enumerate(fds):
+        lhs = f.lhs
+        for a in tuple(lhs):
+            trial = lhs - AttributeSet([a])
+            if f.rhs <= _plain_closure(work, trial):
+                lhs = trial
+                work[i] = FD(lhs, f.rhs)
+    return work
+
+
+def _plain_minimum(fds) -> list:
+    work = list(fds)
+    for f in fds:
+        work.remove(f)
+        if not f.rhs <= _plain_closure(work, f.lhs):
+            closed = FD(f.lhs, _plain_closure(fds, f.lhs))
+            if closed not in work:
+                work.append(closed)
+    return _plain_sweep(work)
+
+
+def _plain_projection(fds, x) -> list:
+    out = []
+    for s in _subsets(x):
+        image = _plain_closure(fds, s) & x
+        if image <= s:
+            continue
+        if any(_plain_closure(fds, s - {a}) & x >= image for a in s):
+            continue
+        out.append(FD(s, image - s))
+    return _plain_sweep(out)
+
+
+def _random_sides(rng, pool, n):
+    # now and then an empty side, which the index handles apart
+    return rng.sample(pool, rng.randint(0 if rng.random() < 0.05 else 1, min(3, n)))
+
+
+class TestClosureIndex:
+    def test_matches_a_plain_fixpoint(self):
+        rng = random.Random(17)
+        for _ in range(500):
+            n = rng.randint(2, 12)
+            pool = [f"A{i}" for i in range(n)]
+            fds = [FD(_random_sides(rng, pool, n), _random_sides(rng, pool, n)) for _ in range(rng.randint(0, 2 * n))]
+            sigma = FDSet(fds, universe=pool)
+            fds = sigma.fds
+            for _ in range(4):
+                x = AttributeSet(rng.sample(pool, rng.randint(0, n)))
+                assert sigma.closure(x) == _plain_closure(fds, x)
+                f = FD(rng.sample(pool, rng.randint(0, 2)), rng.sample(pool, rng.randint(0, min(3, n))))
+                assert sigma.implies(f) == (f.rhs <= _plain_closure(fds, f.lhs))
+            other = FDSet(rng.sample(fds, len(fds) // 2), universe=pool)
+            assert sigma.equivalent(other) == (
+                all(f.rhs <= _plain_closure(fds, f.lhs) for f in other)
+                and all(f.rhs <= _plain_closure(other.fds, f.lhs) for f in fds)
+            )
+            assert sigma.is_redundant() == (len(_plain_sweep(fds)) < len(fds))
+            assert reduced_cover(sigma) == FDSet(_plain_reduced(fds), universe=pool)
+            assert nonredundant_cover(sigma) == FDSet(_plain_sweep(fds), universe=pool)
+            assert canonical_cover(sigma) == FDSet([FD(f.lhs, [a]) for f in fds for a in f.rhs], universe=pool)
+            assert minimum_cover(sigma) == FDSet(_plain_minimum(fds), universe=pool)
+            x = AttributeSet(rng.sample(pool, rng.randint(1, min(n, 6))))
+            assert project_fds(sigma, x) == FDSet(_plain_projection(fds, x), universe=x)
+
+    def test_built_once_per_dependency_set(self, monkeypatch):
+        # the index must not be rebuilt per closure: equivalence builds one
+        # per side, and the covers a fixed number whatever the input size
+        builds = []
+        build = _ClosureIndex.__init__
+
+        def counted(self, fds):
+            builds.append(len(fds))
+            build(self, fds)
+
+        monkeypatch.setattr(_ClosureIndex, "__init__", counted)
+
+        def chain(n):
+            return [FD(f"A{i}", f"A{i + 1}") for i in range(n)]
+
+        def builds_of(call):
+            builds.clear()
+            call()
+            return len(builds)
+
+        for n in (40, 400):
+            sigma = FDSet(chain(n))
+            assert builds_of(lambda: sigma.equivalent(FDSet(reversed(chain(n))))) <= 2
+            assert builds_of(lambda: FDSet(chain(n)).equivalent(FDSet(chain(n)[:-1], universe=sigma.universe))) <= 2
+        rng = random.Random(5)
+        for cover in (minimum_cover, reduced_cover, nonredundant_cover):
+            counts = set()
+            for n in (40, 400):
+                counts.add(builds_of(lambda: cover(FDSet(chain(n)))))
+                pool = [f"A{i}" for i in range(n // 4)]
+                sigma = FDSet([FD(rng.sample(pool, 3), rng.sample(pool, 1)) for _ in range(n)], universe=pool)
+                counts.add(builds_of(lambda: cover(sigma)))
+            assert len(counts) == 1 and counts.pop() <= 2, cover.__name__
+
+    def test_cached_index_is_not_pickled(self):
+        sigma = fdset("A B -> C", "C -> D E", "E ->")
+        before = pickle.dumps(sigma)
+        assert sigma.closure("A B") == AttributeSet("A B C D E")
+        assert sigma.implies(fd("A B -> E")) and sigma.is_redundant()
+        assert pickle.dumps(sigma) == before
+        back = pickle.loads(before)
+        assert back == sigma and back.closure("A B") == AttributeSet("A B C D E")

@@ -25,6 +25,7 @@ from fdkit import (
     random_satisfying_instance,
     two_tuple_witness,
 )
+from fdkit.fds import _ClosureIndex
 
 from util import LETTERS, fd, fdset, load_relation, random_fdset, random_subset
 
@@ -315,17 +316,24 @@ class TestOracleImplies:
             oracle_implies(sigma, fd("A -> B"), limit=5)
 
     def test_answers_without_the_closure_kernel(self, monkeypatch):
-        # the oracle is an independent check on the closure kernel, so it
-        # must keep answering when the kernel is unavailable
+        # the oracle and the instance generator are independent checks on
+        # the closure kernel, so they must keep working when the kernel is
+        # unavailable
         sigma = fdset("B -> C", "A -> B")
+        rng = random.Random(11)
+        sigmas = [random_fdset(rng, LETTERS[:6], min_fds=1) for _ in range(20)]
 
         def unavailable(*args, **kwargs):
-            raise AssertionError("the oracle called the closure kernel")
+            raise AssertionError("called the closure kernel")
 
-        monkeypatch.setattr("fdkit.fds._close", unavailable)
+        monkeypatch.setattr(_ClosureIndex, "__init__", unavailable)
+        monkeypatch.setattr(_ClosureIndex, "close", unavailable)
         monkeypatch.setattr(FDSet, "closure", unavailable)
         assert oracle_implies(sigma, fd("A -> C"))
         assert not oracle_implies(sigma, fd("C -> A"))
+        for other in [sigma] + sigmas:
+            instance = random_satisfying_instance(other, rng, max_witnesses=4, max_merges=4)
+            assert instance.satisfies_all(other)
 
     def test_matches_materialized_two_row_relations(self):
         # the bitmask patterns are exactly the two-row relations whose rows
