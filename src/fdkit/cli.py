@@ -35,7 +35,7 @@ from .design import (
     find_key,
     synthesize_3nf,
 )
-from .dsl import SchemaDocument, parse_fd_text, parse_schema
+from .dsl import SchemaDocument, _fd_line, parse_fd_text, parse_schema
 from .errors import FDKitError, LimitExceededError
 from .fds import FD, AttributeSet
 from .instances import DEFAULT_ORACLE_LIMIT, oracle_implies
@@ -152,7 +152,7 @@ def build_parser() -> _ArgumentParser:
     osub = p.add_subparsers(dest="oracle_command", metavar="ORACLE")
     oi = osub.add_parser("implies", parents=[common], help="brute-force implication check")
     oi.add_argument("fd", metavar="FD", help="dependency such as 'A, B -> C'")
-    oi.set_defaults(func=_cmd_oracle_implies, command_name="oracle implies")
+    oi.set_defaults(func=_cmd_implies, command_name="oracle implies")
 
     return parser
 
@@ -192,10 +192,6 @@ def _load_document(path: str) -> SchemaDocument:
 
 def _fd_dict(fd: FD) -> dict:
     return {"lhs": list(fd.lhs.names), "rhs": list(fd.rhs.names)}
-
-
-def _fd_line(fd: FD) -> str:
-    return f"fd {', '.join(fd.lhs.names)} -> {', '.join(fd.rhs.names)}".rstrip()
 
 
 def _scheme_names(db: DatabaseSchema) -> list:
@@ -264,9 +260,14 @@ def _cmd_closure(ns) -> int:
 
 
 def _cmd_implies(ns) -> int:
+    """``implies`` decides by closure; ``oracle implies`` searches
+    instances, under the search limit."""
     doc = _load_document(ns.schema)
     fd = parse_fd_text(ns.fd)
-    implied = doc.fds.implies(fd)
+    if ns.command_name == "implies":
+        implied = doc.fds.implies(fd)
+    else:
+        implied = oracle_implies(doc.fds, fd, limit=_resolve_limit(ns, DEFAULT_ORACLE_LIMIT))
     payload = {"fd": _fd_dict(fd), "implied": implied}
     return _finish(ns, 0 if implied else 1, ["true" if implied else "false"], payload)
 
@@ -389,15 +390,6 @@ def _cmd_reduce(ns) -> int:
     instance = parse_instance(_read_source(ns.instance))
     schema = reduce_to_schema(instance)
     return _finish(ns, 0, _schema_lines(schema), _schema_payload(schema))
-
-
-def _cmd_oracle_implies(ns) -> int:
-    doc = _load_document(ns.schema)
-    fd = parse_fd_text(ns.fd)
-    limit = _resolve_limit(ns, DEFAULT_ORACLE_LIMIT)
-    implied = oracle_implies(doc.fds, fd, limit=limit)
-    payload = {"fd": _fd_dict(fd), "implied": implied}
-    return _finish(ns, 0 if implied else 1, ["true" if implied else "false"], payload)
 
 
 def main(argv=None) -> int:

@@ -100,8 +100,9 @@ def project_fds(
 
     Enumerates left sides ``S`` over subsets of ``x`` in (size, canonical)
     order and emits ``S -> (closure(S) & x) - S``.  Left sides with a
-    removable attribute are skipped, since the smaller subset carries the
-    same image, and the collected set is compressed with
+    removable attribute, one in the closure of the rest of ``S``, are
+    skipped, since the smaller subset carries the same image, and the
+    collected set is compressed with
     :func:`nonredundant_cover`.  The result's universe is ``x``.
 
     Exponential in ``len(x)`` by design; inputs beyond ``limit``
@@ -110,13 +111,13 @@ def project_fds(
     x = AttributeSet(x)
     _require_within(x, sigma.universe, "projection attributes outside the universe")
     check_limit("projection", len(x), limit)
+    close = sigma._closure_index().close
     out = []
     for s in _subsets(x):
-        image = sigma.closure(s) & x
-        rhs = image - s
+        rhs = (sigma.closure(s) & x) - s
         if not rhs:
             continue
-        if any((sigma.closure(s - AttributeSet([a])) & x) >= image for a in s):
+        if any(close(s.difference((a,)), target={a}) for a in s):
             continue
         out.append(FD(s, rhs))
     return nonredundant_cover(FDSet(out, universe=x))

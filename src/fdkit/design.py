@@ -360,17 +360,10 @@ def synthesize_3nf(
         schemes.append(RelationScheme(key, FDSet((), universe=key)))
         return DatabaseSchema(tuple(schemes))
 
-    grouped: dict = {}
-    order: list = []
+    grouped: dict = {}  # left side -> its scheme's attributes, in cover order
     for fd in delta:
-        if fd.lhs not in grouped:
-            grouped[fd.lhs] = fd.lhs
-            order.append(fd.lhs)
-        grouped[fd.lhs] = grouped[fd.lhs] | fd.rhs
-    attr_sets: list = []
-    for lhs in order:
-        if grouped[lhs] not in attr_sets:
-            attr_sets.append(grouped[lhs])
+        grouped[fd.lhs] = grouped.get(fd.lhs, fd.lhs) | fd.rhs
+    attr_sets = list(dict.fromkeys(grouped.values()))
     key_included = key in attr_sets
     if not key_included:
         attr_sets.append(key)

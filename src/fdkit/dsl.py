@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .design import DatabaseSchema, RelationScheme
-from .fds import FD, Attribute, AttributeSet, FDSet, _require_within
+from .fds import _NAME, _SPLIT, FD, Attribute, AttributeSet, FDSet, _require_within, _split
 from .reductions import RESERVED_C, RESERVED_D
 
 __all__ = [
@@ -40,10 +40,8 @@ __all__ = [
 
 RESERVED_NAMES = frozenset({RESERVED_C.name, RESERVED_D.name})
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _SCHEME_LINE = re.compile(r"scheme\s+([^(\s]+)\s*\((.*)\)\s*\Z")
 _ARROW = re.compile(r"->|→")
-_LIST_SPLIT = re.compile(r"[\s,]+")
 
 
 @dataclass(frozen=True)
@@ -100,9 +98,7 @@ class SchemaDocument:
             lines.append("universe " + ", ".join(self.universe.names))
         for scheme in self.schemes:
             lines.append(f"scheme {scheme.name}({', '.join(scheme.attrs.names)})")
-        for fd in self.fds:
-            rhs = ", ".join(fd.rhs.names)
-            lines.append(f"fd {', '.join(fd.lhs.names)} -> {rhs}".rstrip())
+        lines.extend(map(_fd_line, self.fds))
         return "\n".join(lines) + "\n"
 
 
@@ -124,17 +120,16 @@ class ParseResult:
         return tuple(d for d in self.diagnostics if d.severity == "warning")
 
 
-def _split_names(text: str) -> list:
-    text = text.strip()
-    return _LIST_SPLIT.split(text) if text else []
+def _fd_line(fd: FD) -> str:
+    """``fd`` written as an ``fd`` line of the schema language."""
+    return f"fd {', '.join(fd.lhs.names)} -> {', '.join(fd.rhs.names)}".rstrip()
 
 
-def _split_at(text: str, start: int) -> list:
-    """The names of ``text`` paired with their 1-based columns, where
+def _column(text: str, start: int, i: int) -> int:
+    """The 1-based column of name ``i`` of the list ``text``, where
     ``text`` begins at offset ``start`` of its source line."""
-    base = start + len(text) - len(text.lstrip()) + 1
-    starts = [0] + [m.end() for m in _LIST_SPLIT.finditer(text.strip())]
-    return [(name, base + at) for name, at in zip(_split_names(text), starts)]
+    starts = [0] + [m.end() for m in _SPLIT.finditer(text.strip())]
+    return start + len(text) - len(text.lstrip()) + 1 + starts[i]
 
 
 class _Parser:
@@ -153,14 +148,18 @@ class _Parser:
 
     def attr_list(self, text: str, start: int, lineno: int) -> Optional[list]:
         out = []
-        for name, col in _split_at(text, start):
-            if not _IDENT.match(name):
-                self.error(lineno, col, "E110", f"invalid identifier: {name!r}")
+        for i, name in enumerate(_split(text)):
+            try:
+                attr = Attribute(name)
+            except ValueError:
+                self.error(lineno, _column(text, start, i), "E110", f"invalid identifier: {name!r}")
                 return None
-            if name in RESERVED_NAMES:
-                self.error(lineno, col, "E111", f"reserved attribute name: {name}")
+            if attr in RESERVED_NAMES:
+                self.error(
+                    lineno, _column(text, start, i), "E111", f"reserved attribute name: {name}"
+                )
                 return None
-            out.append(Attribute(name))
+            out.append(attr)
         return out
 
     def parse_line(self, raw: str, lineno: int) -> None:
@@ -190,7 +189,7 @@ class _Parser:
             return
         name, attr_text = match.group(1), match.group(2)
         name_col = lead + match.start(1) + 1
-        if not _IDENT.match(name):
+        if not _NAME.match(name):
             self.error(lineno, name_col, "E110", f"invalid scheme name: {name!r}")
             return
         attrs = self.attr_list(attr_text, lead + match.start(2), lineno)
@@ -250,41 +249,34 @@ def parse_schema(text: str) -> ParseResult:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parser.parse_line(raw, lineno)
 
-    declared = set()
+    declared = set()  # empty exactly when the file declares no attribute
     for _, attrs, _ in parser.scheme_decls:
         declared.update(attrs)
     if parser.universe_decl is not None:
         declared.update(parser.universe_decl[0])
-    has_declarations = bool(parser.scheme_decls) or parser.universe_decl is not None
-    if has_declarations:
+    if declared:
         for fd, lineno in parser.fd_decls:
-            for a in fd.attributes:
-                if a not in declared:
-                    parser.error(
-                        lineno,
-                        1,
-                        "E130",
-                        f"attribute {a} is not declared by any scheme or the universe",
-                    )
+            for a in sorted(fd.lhs.union(fd.rhs).difference(declared)):
+                parser.error(
+                    lineno,
+                    1,
+                    "E130",
+                    f"attribute {a} is not declared by any scheme or the universe",
+                )
     diagnostics = tuple(sorted(parser.diagnostics, key=lambda d: (d.line, d.column)))
     if any(d.severity == "error" for d in diagnostics):
         return ParseResult(None, diagnostics)
 
-    mentioned = set()
-    for fd, _ in parser.fd_decls:
-        mentioned.update(fd.attributes)
-    universe = AttributeSet(declared | mentioned)
-    sigma = FDSet([fd for fd, _ in parser.fd_decls], universe=universe)
-    mentions = [(fd, fd.attributes) for fd in sigma]
+    sigma = FDSet([fd for fd, _ in parser.fd_decls], universe=declared or None)
     schemes = []
     for name, attrs, _ in parser.scheme_decls:
         attr_set = AttributeSet(attrs)
-        local = FDSet([fd for fd, used in mentions if used <= attr_set], universe=attr_set)
-        schemes.append(RelationScheme(attr_set, local, name=name))
+        local = [fd for fd in sigma if fd.lhs <= attr_set and fd.rhs <= attr_set]
+        schemes.append(RelationScheme(attr_set, FDSet(local, universe=attr_set), name=name))
     document = SchemaDocument(
         schemes=tuple(schemes),
         fds=sigma,
-        universe=universe,
+        universe=sigma.universe,
         explicit_universe=parser.universe_decl is not None,
         scheme_lines=tuple(line for _, _, line in parser.scheme_decls),
         fd_lines=tuple(line for _, line in parser.fd_decls),
@@ -296,23 +288,21 @@ def parse_schema(text: str) -> ParseResult:
 def parse_fd_text(text: str, universe: Optional[AttributeSet] = None) -> FD:
     """Parse a single ``A, B -> C`` string, as accepted on the command line.
 
-    Raises ``ValueError`` on malformed input; attribute membership is
-    checked against ``universe`` when one is given, and a stray attribute
-    raises :class:`UnknownAttributeError`, itself a ``ValueError``.
+    This is the document parser's ``fd`` rule, run on ``"fd " + text``:
+    ``text`` parses exactly when that ``fd`` line would, to the same
+    dependency, and otherwise raises ``ValueError`` with the rule's first
+    error message.  Only text without an arrow gets a message of its own.
+    Attribute membership is checked against ``universe`` when one is
+    given, and a stray attribute raises :class:`UnknownAttributeError`,
+    itself a ``ValueError``.
     """
-    arrow = _ARROW.search(text)
-    if not arrow:
+    if not _ARROW.search(text):
         raise ValueError(f"expected 'attrs -> attrs', got {text!r}")
-    lhs_names = _split_names(text[: arrow.start()])
-    rhs_names = _split_names(text[arrow.end() :])
-    if not lhs_names:
-        raise ValueError("a dependency needs a non-empty left side")
-    for name in lhs_names + rhs_names:
-        if not _IDENT.match(name):
-            raise ValueError(f"invalid identifier: {name!r}")
-        if name in RESERVED_NAMES:
-            raise ValueError(f"reserved attribute name: {name}")
-    fd = FD(lhs_names, rhs_names)
+    parser = _Parser()
+    parser.parse_fd("fd " + text, 0, 1)
+    if not parser.fd_decls:
+        raise ValueError(parser.diagnostics[0].message)
+    fd = parser.fd_decls[0][0]
     if universe is not None:
         _require_within(fd.attributes, AttributeSet(universe), "attributes outside the universe")
     return fd

@@ -92,8 +92,7 @@ class AttributeSet(frozenset):
         if isinstance(members, AttributeSet):
             return members
         if isinstance(members, str):
-            text = members.strip()
-            members = _SPLIT.split(text) if text else []
+            members = _split(members)
         return _attrset(m if isinstance(m, Attribute) else Attribute(m) for m in members)
 
     @property
@@ -125,6 +124,13 @@ class AttributeSet(frozenset):
 
     def __repr__(self) -> str:
         return f"AttributeSet({str(self)!r})"
+
+
+def _split(text: str) -> list:
+    """The names of a list separated by commas and whitespace, in order.
+    A leading or trailing comma leaves an empty name at that end."""
+    text = text.strip()
+    return _SPLIT.split(text) if text else []
 
 
 def _attrset(members: Iterable[Attribute]) -> AttributeSet:

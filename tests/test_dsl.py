@@ -13,6 +13,15 @@ def codes(result):
     return [d.code for d in result.diagnostics]
 
 
+# What ``str.splitlines`` breaks a document at, and the comment mark: the
+# characters that keep ``"fd " + text`` from being one ``fd`` line.
+NOT_ONE_LINE = "#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+FD_TOKENS = ["A", "B", "_x", "__C", "__D", "9B", "A-B", "é", "", ",", " ", "\t", "->", "→", "-", ">"]
+fd_texts = st.lists(st.sampled_from(FD_TOKENS), max_size=10).map("".join) | st.text(
+    st.characters(exclude_characters=NOT_ONE_LINE), max_size=30
+)
+
+
 class TestParsing:
     def test_minimal_document(self):
         result = parse_schema("scheme S(A,B,C)\nfd A -> B")
@@ -53,6 +62,15 @@ class TestParsing:
         assert result.ok
         assert result.document.universe == AttributeSet("A B Z")
         assert result.document.explicit_universe
+
+    def test_universe_is_the_declared_attributes_without_a_universe_line(self):
+        result = parse_schema("scheme S(A, B, D)\nscheme T(B, C)\nfd A -> B\n")
+        assert result.ok
+        doc = result.document
+        assert doc.universe == AttributeSet("A B C D")
+        assert doc.fds.universe == doc.universe
+        assert not doc.explicit_universe
+        assert doc.render() == "scheme S(A, B, D)\nscheme T(B, C)\nfd A -> B\n"
 
     def test_universe_inferred_when_nothing_is_declared(self):
         result = parse_schema("fd A -> B\nfd B -> C")
@@ -116,6 +134,13 @@ class TestDiagnostics:
             assert diag.severity == "error"
             assert str(diag).startswith(where), text
 
+    def test_undeclared_attributes_reported_in_name_order(self):
+        result = parse_schema("scheme S(A, B)\nfd Z, A -> Y\n")
+        assert [str(d) for d in result.diagnostics] == [
+            "2:1: error[E130] attribute Y is not declared by any scheme or the universe",
+            "2:1: error[E130] attribute Z is not declared by any scheme or the universe",
+        ]
+
     def test_diagnostics_sorted_by_position(self):
         result = parse_schema("scheme S(A)\nfd A -> Z\nnonsense")
         assert [d.line for d in result.diagnostics] == sorted(
@@ -156,10 +181,25 @@ class TestParseFdText:
         assert parse_fd_text("A → B") == fd("A -> B")
         assert parse_fd_text("A ->") == fd("A ->")
 
-    @pytest.mark.parametrize("text", ["A B", "-> B", "A -> 1B", "__C -> A"])
+    @pytest.mark.parametrize("text", ["A B", "-> B", "A -> 1B", "__C -> A", "A -> B # note"])
     def test_rejects_malformed_input(self, text):
         with pytest.raises(ValueError):
             parse_fd_text(text)
+
+    @given(fd_texts)
+    def test_is_the_fd_line_rule(self, text):
+        result = parse_schema("fd " + text)
+        try:
+            got = parse_fd_text(text)
+        except ValueError as exc:
+            assert result.errors
+            if "->" in text or "→" in text:
+                assert str(exc) == result.errors[0].message
+            else:
+                assert str(exc) == f"expected 'attrs -> attrs', got {text!r}"
+        else:
+            assert not result.errors
+            assert list(result.document.fds) == [got]
 
     def test_universe_membership_check(self):
         with pytest.raises(ValueError):
