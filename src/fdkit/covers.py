@@ -15,8 +15,9 @@ from .fds import (
     AttrsLike,
     FDSet,
     _ClosureIndex,
+    _Lattice,
+    _free,
     _require_within,
-    _subsets,
 )
 
 __all__ = [
@@ -111,13 +112,14 @@ def project_fds(
     x = AttributeSet(x)
     _require_within(x, sigma.universe, "projection attributes outside the universe")
     check_limit("projection", len(x), limit)
-    close = sigma._closure_index().close
+    lattice = _Lattice(sigma)
+    full = lattice.mask(x)
     out = []
-    for s in _subsets(x):
-        rhs = (sigma.closure(s) & x) - s
+    for s, closed, prev in lattice.scan(full):
+        rhs = closed & full & ~s
         if not rhs:
             continue
-        if any(close(s.difference((a,)), target={a}) for a in s):
+        if not _free(s, prev):
             continue
-        out.append(FD(s, rhs))
+        out.append(FD(lattice.attrs(s), lattice.attrs(rhs)))
     return nonredundant_cover(FDSet(out, universe=x))

@@ -10,11 +10,11 @@ fixed canonical order so reported witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .covers import canonical_cover, nonredundant_cover, project_fds, reduced_cover
 from .errors import UniverseMismatchError, check_limit
-from .fds import Attribute, AttributeSet, AttrsLike, FDSet, _attrset, _require_within, _subsets
+from .fds import Attribute, AttributeSet, AttrsLike, FDSet, _attrset, _free, _Lattice, _require_within
 from .instances import Relation, _chase, is_lossless_on
 
 __all__ = [
@@ -201,18 +201,14 @@ def enumerate_keys(
 ) -> frozenset:
     """Every key of the scheme, by exhaustive subset search.
 
-    Subsets are tried in ascending size, skipping supersets of keys
-    already found, so everything kept is minimal.  Exponential by design;
-    schemes beyond ``limit`` attributes are refused.
+    Subsets are closed in ascending size, and a superkey is kept when
+    none of its one-smaller subsets is a superkey, so everything kept is
+    minimal.  Exponential by design; schemes beyond ``limit`` attributes
+    are refused.
     """
     check_limit("key enumeration", len(scheme.attrs), limit)
-    keys: list = []
-    for s in _subsets(scheme.attrs):
-        if any(k <= s for k in keys):
-            continue
-        if scheme.attrs <= sigma.closure(s):
-            keys.append(s)
-    return frozenset(keys)
+    lattice = _Lattice(sigma)
+    return frozenset(map(lattice.attrs, _keys(lattice, lattice.mask(scheme.attrs))))
 
 
 def is_prime(
@@ -221,12 +217,27 @@ def is_prime(
     a: Attribute | str,
     limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> bool:
-    """Whether ``a`` belongs to some key of the scheme."""
-    _require_within(AttributeSet([a]), scheme.attrs, "attributes outside the scheme")
-    return any(a in key for key in enumerate_keys(scheme, sigma, limit))
+    """Whether ``a`` belongs to some key of the scheme.
+
+    The key search stops at the first key holding ``a``.
+    """
+    a = AttributeSet([a])
+    _require_within(a, scheme.attrs, "attributes outside the scheme")
+    check_limit("key enumeration", len(scheme.attrs), limit)
+    lattice = _Lattice(sigma)
+    bit = lattice.mask(a)
+    return any(bit & key for key in _keys(lattice, lattice.mask(scheme.attrs)))
 
 
-def _first_violation(scheme: RelationScheme, sigma: FDSet, limit: int, nonprime_only: bool):
+def _keys(lattice: _Lattice, full: int) -> Iterator[int]:
+    """The keys of the scheme ``full`` as masks, in scan order: the free
+    superkeys."""
+    for s, closed, prev in lattice.scan(full):
+        if not full & ~closed and _free(s, prev):
+            yield s
+
+
+def _first_violation(lattice: _Lattice, scheme: RelationScheme, nonprime_only: bool):
     """First determinant of the scheme that is not a superkey, scanning
     subsets in (size, canonical) order.  Returns (determinant, dependents)
     or None.
@@ -236,34 +247,36 @@ def _first_violation(scheme: RelationScheme, sigma: FDSet, limit: int, nonprime_
     first such attribute: the definition of 3NF, checked directly.  The
     primes are computed once, at the first non-superkey determinant.
     """
-    full = scheme.attrs
+    full = lattice.mask(scheme.attrs)
     primes = None
-    for x in _subsets(full):
-        inside = sigma.closure(x) & full
-        if not x < inside < full:
+    for s, closed, _ in lattice.scan(full):
+        inside = closed & full
+        if inside == s or inside == full:
             continue
-        dependents = inside - x
+        dependents = inside & ~s
         if nonprime_only:
             if primes is None:
-                primes = {a for key in enumerate_keys(scheme, sigma, limit) for a in key}
-            nonprime = [a for a in dependents if a not in primes]
-            if not nonprime:
+                primes = 0
+                for key in _keys(lattice, full):
+                    primes |= key
+            dependents &= ~primes
+            if not dependents:
                 continue
-            dependents = AttributeSet(nonprime[:1])
-        return x, dependents
+            dependents &= -dependents
+        return lattice.attrs(s), lattice.attrs(dependents)
     return None
 
 
 def _check_normal_form(schema: DatabaseSchema, limit: int, form: str) -> NormalFormReport:
     """Report the first violation of ``form`` ("bcnf" or "3nf") in each
     scheme, refusing schemes beyond ``limit`` attributes."""
-    sigma = schema.global_fds()
+    lattice = _Lattice(schema.global_fds())
     nonprime_only = form == "3nf"
     reason = "nonprime-dependent" if nonprime_only else "determinant-not-superkey"
     witnesses = []
     for index, scheme in enumerate(schema.schemes):
         check_limit(f"{form.upper()} check of scheme {index}", len(scheme.attrs), limit)
-        found = _first_violation(scheme, sigma, limit, nonprime_only)
+        found = _first_violation(lattice, scheme, nonprime_only)
         if found is not None:
             witnesses.append(Violation(index, *found, reason))
     return NormalFormReport(form, not witnesses, tuple(witnesses))
@@ -308,12 +321,13 @@ def bcnf_decompose(schema: DatabaseSchema, limit: int = DEFAULT_SEARCH_LIMIT) ->
     compare the result against the original with :func:`check_represents`.
     """
     sigma = schema.global_fds()
+    lattice = _Lattice(sigma)
     schemes = list(schema.schemes)
     i = 0
     while i < len(schemes):
         scheme = schemes[i]
         check_limit(f"BCNF decomposition of scheme {i}", len(scheme.attrs), limit)
-        found = _first_violation(scheme, sigma, limit, nonprime_only=False)
+        found = _first_violation(lattice, scheme, nonprime_only=False)
         if found is None:
             i += 1
             continue

@@ -15,7 +15,6 @@ and never changes it afterwards.)
 from __future__ import annotations
 
 import re
-from itertools import combinations
 from typing import AbstractSet, Collection, Iterable, Iterator, Sequence, Union
 
 from .errors import UnknownAttributeError, UniverseMismatchError
@@ -295,15 +294,111 @@ def _require_within(attrs: AbstractSet, allowed: Collection, what: str) -> None:
         raise UnknownAttributeError(f"{what}: {' '.join(map(str, sorted(stray)))}")
 
 
-def _subsets(attrs: AttributeSet) -> Iterator[AttributeSet]:
-    """Every subset of ``attrs`` in (size, canonical) order: smaller
-    subsets first, and subsets of one size in lexicographic name order.
-    Every subset-lattice search scans this order, which fixes the witness
-    it reports first."""
-    members = tuple(attrs)
-    for size in range(len(members) + 1):
-        for combo in combinations(members, size):
-            yield _attrset(combo)
+class _Lattice:
+    """The subset lattices of the schemes inside ``sigma``'s universe, on
+    int masks, for the searches that close every subset of a scheme:
+    keys, BCNF and 3NF, and projection.
+
+    Each attribute of ``sigma.universe`` owns one bit, in name order.
+    The universe, not the scheme: a closure may pass through attributes
+    outside the scheme on its way back in.  ``sigma`` is compiled once
+    into ``(lhs, rhs)`` mask pairs, listed under each bit of their left
+    side, and every scheme scanned reuses them; pairs with an empty left
+    side seed the closure of the empty set.  :meth:`mask` and
+    :meth:`attrs` convert between attribute sets and masks.
+    """
+
+    __slots__ = ("names", "bit", "waiting", "bottom")
+
+    def __init__(self, sigma: "FDSet"):
+        self.names = tuple(sigma.universe)
+        bit = self.bit = {a: 1 << i for i, a in enumerate(self.names)}
+        self.waiting: dict = {}
+        bottom = 0
+        for fd in sigma:
+            lhs = sum(bit[a] for a in _members(fd.lhs))
+            rhs = sum(bit[a] for a in _members(fd.rhs))
+            if not lhs:
+                bottom |= rhs
+            for a in _members(fd.lhs):
+                self.waiting.setdefault(bit[a], []).append((lhs, rhs))
+        self.bottom = self._grow(bottom, bottom)
+
+    def mask(self, attrs: AttributeSet) -> int:
+        """The bits of ``attrs``, which must lie inside the universe."""
+        _require_within(attrs, self.bit, "attributes outside the universe")
+        return sum(self.bit[a] for a in _members(attrs))
+
+    def attrs(self, mask: int) -> AttributeSet:
+        """The attributes of the bits of ``mask``."""
+        names = self.names
+        return _attrset(names[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+    def _grow(self, closed: int, new: int) -> int:
+        """The closure of ``closed``, which is closed already under every
+        member that does not wait on a bit of ``new``."""
+        waiting = self.waiting
+        while new:
+            b = new & -new
+            new ^= b
+            for lhs, rhs in waiting.get(b, ()):
+                if not lhs & ~closed and rhs & ~closed:
+                    new |= rhs & ~closed
+                    closed |= rhs
+        return closed
+
+    def scan(self, full: int) -> Iterator[tuple]:
+        """Yield ``(s, closure(s), prev)`` for every subset ``s`` of the
+        scheme ``full``, in (size, canonical) order: smaller subsets
+        first, and subsets of one size in lexicographic name order, the
+        order of ``itertools.combinations``.  This order fixes the
+        witness each search reports first.
+
+        The subsets of one size are those of the size before, in their
+        order, each extended by every scheme bit above its last one.  So
+        every ``s - last``, and indeed every ``s - a``, was visited one
+        size earlier, and ``prev`` maps each of them to its closure.
+        ``s`` is closed from the closure of ``s - last``: unchanged when
+        that already holds ``last``, and otherwise grown by firing only
+        the members that wait on newly reached bits.  Only two sizes are
+        held at once.
+        """
+        grow = self._grow
+        bits = []
+        while full:
+            bits.append(full & -full)
+            full ^= bits[-1]
+        # the bit length of a subset's last bit -> the scheme bits above it
+        above = {0: bits}
+        for i, b in enumerate(bits):
+            above[b.bit_length()] = bits[i + 1 :]
+        prev = {0: self.bottom}
+        yield 0, self.bottom, {}
+        for _ in bits:
+            cur = {}
+            for base, closed in prev.items():
+                for last in above[base.bit_length()]:
+                    s = base | last
+                    image = closed if closed & last else grow(closed | last, last)
+                    cur[s] = image
+                    yield s, image, prev
+            prev = cur
+
+
+def _free(s: int, prev: dict) -> bool:
+    """Whether no bit of ``s`` lies in the closure of the rest of ``s``,
+    read from ``prev``, the closures of its one-smaller subsets.
+
+    A superkey is a key exactly when it is free, and a projection needs
+    only the left sides that are free: dropping a bit in the closure of
+    the rest keeps the image."""
+    rest = s
+    while rest:
+        b = rest & -rest
+        if prev[s ^ b] & b:
+            return False
+        rest ^= b
+    return True
 
 
 class FDSet:

@@ -3,6 +3,7 @@ closure laws."""
 
 import pickle
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -12,22 +13,28 @@ from fdkit import (
     FD,
     Attribute,
     AttributeSet,
+    DatabaseSchema,
     FDSet,
+    HittingSetInstance,
     Relation,
     RelationScheme,
     Row,
     UniverseMismatchError,
     UnknownAttributeError,
     canonical_cover,
+    check_3nf,
+    check_bcnf,
+    enumerate_keys,
     is_prime,
     is_superkey,
     minimum_cover,
     nonredundant_cover,
     oracle_implies,
     project_fds,
+    reduce_to_schema,
     reduced_cover,
 )
-from fdkit.fds import _ClosureIndex, _subsets
+from fdkit.fds import _ClosureIndex
 
 from util import LETTERS, fd, fdset, random_fdset, random_subset
 
@@ -259,6 +266,7 @@ _RELATION = Relation.from_rows("A B", [("0", "1")])
     [
         (lambda: FDSet([fd("A -> B C D")], universe="A B"), "attributes outside the universe: C D"),
         (lambda: _SIGMA.closure("A Z Y"), "attributes outside the universe: Y Z"),
+        (lambda: enumerate_keys(RelationScheme("A Z Y", []), _SIGMA), "attributes outside the universe: Y Z"),
         (lambda: _SIGMA.implies(fd("A -> Z")), "dependency attributes outside the universe: Z"),
         (lambda: project_fds(_SIGMA, "A Z"), "projection attributes outside the universe: Z"),
         (lambda: oracle_implies(_SIGMA, fd("Z -> A")), "dependency attributes outside the universe: Z"),
@@ -377,9 +385,15 @@ def _plain_minimum(fds) -> list:
     return _plain_sweep(work)
 
 
+def _plain_subsets(x):
+    for k in range(len(x) + 1):
+        for c in combinations(sorted(x), k):
+            yield AttributeSet(c)
+
+
 def _plain_projection(fds, x) -> list:
     out = []
-    for s in _subsets(x):
+    for s in _plain_subsets(x):
         image = _plain_closure(fds, s) & x
         if image <= s:
             continue
@@ -463,3 +477,83 @@ class TestClosureIndex:
         assert pickle.dumps(sigma) == before
         back = pickle.loads(before)
         assert back == sigma and back.closure("A B") == AttributeSet("A B C D E")
+
+
+def _plain_keys(fds, x) -> list:
+    keys = []
+    for s in _plain_subsets(x):
+        if x <= _plain_closure(fds, s) and not any(k <= s for k in keys):
+            keys.append(s)
+    return keys
+
+
+def _plain_witness(fds, x, nonprime_only):
+    """The first (determinant, dependents) that breaks BCNF, or with
+    ``nonprime_only`` 3NF, in (size, lexicographic) order."""
+    primes = set().union(*_plain_keys(fds, x))
+    for s in _plain_subsets(x):
+        inside = _plain_closure(fds, s) & x
+        dependents = inside - s
+        if not dependents or inside == x:
+            continue
+        if nonprime_only:
+            dependents = sorted(dependents - primes)[:1]
+            if not dependents:
+                continue
+        return s, AttributeSet(dependents)
+    return None
+
+
+class TestLatticeScan:
+    """Keys, the first BCNF and 3NF witnesses and projection, all read
+    from one subset scan, against brute force over ``itertools`` order
+    and a plain fixpoint closure."""
+
+    def _agree(self, schema, rng, seen):
+        sigma = schema.global_fds()
+        fds = sigma.fds
+        seen["empty lhs"] += any(not f.lhs for f in fds)
+        for report, nonprime_only in ((check_bcnf(schema), False), (check_3nf(schema), True)):
+            expected = []
+            for i, scheme in enumerate(schema):
+                found = _plain_witness(fds, scheme.attrs, nonprime_only)
+                if found is not None:
+                    expected.append((i, *found))
+            assert [(w.scheme_index, w.determinant, w.dependents) for w in report.witnesses] == expected
+        for scheme in schema:
+            x = scheme.attrs
+            seen["one attribute"] += len(x) == 1
+            seen["narrower"] += x < sigma.universe
+            keys = _plain_keys(fds, x)
+            assert enumerate_keys(scheme, sigma) == frozenset(keys)
+            for a in x:
+                assert is_prime(scheme, sigma, a) == any(a in k for k in keys)
+            for y in (x, AttributeSet(rng.sample(sorted(x), rng.randint(0, len(x))))):
+                assert project_fds(sigma, y) == FDSet(_plain_projection(fds, y), universe=y)
+
+    def test_random_schemas_agree_with_brute_force(self):
+        rng = random.Random(23)
+        seen = dict.fromkeys(("empty lhs", "one attribute", "narrower"), 0)
+        for _ in range(150):
+            n = rng.randint(0, 10)
+            pool = [f"A{i}" for i in range(n)]
+            fds = [FD(_random_sides(rng, pool, n), _random_sides(rng, pool, n)) for _ in range(rng.randint(0, 2 * n))]
+            schemes = [RelationScheme(pool, FDSet(fds, universe=pool))]
+            for _ in range(rng.randint(0, 2) if n else 0):
+                part = rng.sample(pool, rng.randint(1, n))
+                schemes.append(RelationScheme(part, [f for f in fds if f.lhs | f.rhs <= set(part)]))
+            self._agree(DatabaseSchema(schemes), rng, seen)
+        assert all(seen.values()), seen
+
+    def test_hitting_set_reductions_agree_with_brute_force(self):
+        # their target scheme's closures pass through attributes outside it
+        rng = random.Random(29)
+        seen = dict.fromkeys(("empty lhs", "one attribute", "narrower"), 0)
+        for _ in range(25):
+            n = rng.randint(1, 4)
+            ground = tuple(f"p{i}" for i in range(n))
+            subsets = tuple(
+                tuple(rng.sample(ground, rng.randint(1, min(3, n)))) for _ in range(rng.randint(1, 3))
+            )
+            self._agree(reduce_to_schema(HittingSetInstance(ground, subsets)), rng, seen)
+        assert seen["narrower"]
