@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import random
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import CoverageError, RelationFormatError, check_limit
 from .fds import FD, Attribute, AttributeSet, AttrsLike, FDSet, _attrset, _require_within
@@ -154,11 +155,19 @@ class Relation:
         return f"Relation({self._scheme!r}, {len(self._rows)} rows)"
 
     def project(self, y: AttrsLike) -> "Relation":
-        """Projection onto ``y``: restrict every row, collapsing duplicates."""
+        """Projection onto ``y``: restrict every row, collapsing duplicates.
+        Duplicates collapse as value tuples, before any row is built."""
         y = AttributeSet(y)
         _require_within(y, self._scheme, "attributes outside the scheme")
+        return _relation(*self._table(y))
+
+    def _table(self, y: AttributeSet) -> tuple:
+        """The projection onto ``y`` (a subset of the scheme) as a table:
+        ``y``'s attributes in name order and the set of the rows' distinct
+        value tuples on them, in that order."""
         attrs = tuple(y)
-        return Relation(y, (Row({a: row._values[a] for a in attrs}) for row in self._rows))
+        pick = _picker(attrs)
+        return attrs, {pick(row._values) for row in self._rows}
 
     def satisfies(self, fd: FD) -> bool:
         """Whether no two rows agree on ``fd.lhs`` yet differ on ``fd.rhs``."""
@@ -218,36 +227,86 @@ class Relation:
         return cls(AttributeSet(attrs), rows)
 
 
-def _join2(left: Relation, right: Relation) -> Relation:
-    common = tuple(left.scheme & right.scheme)
-    out_scheme = left.scheme | right.scheme
+def _picker(keys: Sequence) -> Callable:
+    """A function from a row's values (a dict, or a value tuple) to the
+    tuple of its values at ``keys``, in that order."""
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda values: (values[key],)
+    return itemgetter(*keys) if keys else lambda values: ()
+
+
+def _relation(attrs: tuple, tuples: Iterable[tuple]) -> Relation:
+    """The relation over ``attrs`` with one row per value tuple, the
+    values in ``attrs`` order.
+
+    ``attrs`` are a checked scheme's own attributes, so the rows are
+    right by construction and skip the checks of ``Row`` and
+    ``Relation``.
+    """
+    rows = []
+    for values in tuples:
+        row = object.__new__(Row)
+        row._values = dict(zip(attrs, values))
+        row._hash = None
+        rows.append(row)
+    rel = object.__new__(Relation)
+    rel._scheme = _attrset(attrs)
+    rel._rows = frozenset(rows)
+    return rel
+
+
+# The identity of the natural join: no attributes and one empty row.
+_UNIT = ((), ((),))
+
+
+def _hash_join(left: tuple, right: tuple) -> tuple:
+    """One step of the natural join of two tables, ``(attrs, tuples)``
+    pairs whose tuples are distinct, left unbuilt.
+
+    Indexes ``right`` on the attributes it shares with ``left`` and
+    returns the result's attributes, ``left``'s followed by the rest of
+    ``right``'s, and a lazy sequence of ``(t, rests)``: each tuple ``t``
+    of ``left`` with the list of the rest-values of the ``right`` tuples
+    that agree with it.  The result's tuples are the ``t + r`` for ``r``
+    in ``rests``, all distinct, so their number is the sum of the
+    lengths of the lists.
+    """
+    lattrs, ltuples = left
+    rattrs, rtuples = right
+    shared = [a for a in rattrs if a in lattrs]
+    rest = tuple(a for a in rattrs if a not in lattrs)
+    rkey = _picker([rattrs.index(a) for a in shared])
+    rrest = _picker([rattrs.index(a) for a in rest])
     index: dict = {}
-    for row in right.rows:
-        key = tuple(row._values[a] for a in common)
-        index.setdefault(key, []).append(row)
-    out = []
-    for row in left.rows:
-        key = tuple(row._values[a] for a in common)
-        for other in index.get(key, ()):
-            merged = dict(other._values)
-            merged.update(row._values)
-            out.append(Row(merged))
-    return Relation(out_scheme, out)
+    for values in rtuples:
+        index.setdefault(rkey(values), []).append(rrest(values))
+    lkey = _picker([lattrs.index(a) for a in shared])
+    return lattrs + rest, ((values, index.get(lkey(values), ())) for values in ltuples)
+
+
+def _join_to_last(tables: Sequence[tuple]) -> tuple:
+    """Join ``tables`` left to right, building every step but the last,
+    which is returned unbuilt as :func:`_hash_join` gives it."""
+    if not tables:
+        raise ValueError("join requires at least one relation")
+    acc = _UNIT
+    for table in tables[:-1]:
+        attrs, matches = _hash_join(acc, table)
+        acc = attrs, [t + r for t, rests in matches for r in rests]
+    return _hash_join(acc, tables[-1])
 
 
 def join(relations: Sequence[Relation]) -> Relation:
     """Natural join: all tuples over the union scheme whose restriction to
     each input scheme appears in that input.
 
-    Computed pairwise left to right; the result is independent of the
-    order.  Disjoint schemes produce a full cross product.
+    Computed pairwise left to right by hash joins on value tuples; the
+    result is independent of the order.  Rows are built once, for the
+    result.  Disjoint schemes produce a full cross product.
     """
-    if not relations:
-        raise ValueError("join requires at least one relation")
-    acc = relations[0]
-    for rel in relations[1:]:
-        acc = _join2(acc, rel)
-    return acc
+    attrs, matches = _join_to_last([rel._table(rel.scheme) for rel in relations])
+    return _relation(attrs, (t + r for t, rests in matches for r in rests))
 
 
 def is_lossless_on(instance: Relation, parts: Sequence[AttrsLike]) -> bool:
@@ -257,6 +316,11 @@ def is_lossless_on(instance: Relation, parts: Sequence[AttrsLike]) -> bool:
     The join of projections always contains the original, so ``False``
     means strictly lossy for this instance.  The parts must cover the
     scheme.
+
+    Since the join contains the instance, it equals the instance exactly
+    when it has no more rows.  So the last step of the join is counted,
+    not built, and the count stops as soon as it exceeds
+    ``len(instance)``; the answer is exact.
     """
     parts = [AttributeSet(p) for p in parts]
     union = _attrset(frozenset().union(*parts))
@@ -264,7 +328,13 @@ def is_lossless_on(instance: Relation, parts: Sequence[AttrsLike]) -> bool:
         raise CoverageError(
             f"parts cover {union}, expected the full scheme {instance.scheme}"
         )
-    return join([instance.project(p) for p in parts]) == instance
+    _, matches = _join_to_last([instance._table(p) for p in parts])
+    size, limit = 0, len(instance)
+    for _, rests in matches:
+        size += len(rests)
+        if size > limit:
+            return False
+    return True
 
 
 def two_tuple_witness(sigma: FDSet, x: AttrsLike) -> Relation:

@@ -252,6 +252,24 @@ class TestLossless:
             assert is_lossless_on(rel, [x | y, x | z])
 
 
+    def test_edge_cases(self):
+        unit = Relation((), [{}])
+        with pytest.raises(ValueError, match=r"^join requires at least one relation$"):
+            is_lossless_on(unit, [])
+        pair = Relation.from_rows("A B", [(1, 2), (3, 4)])
+        with pytest.raises(CoverageError):
+            is_lossless_on(pair, [])
+        assert is_lossless_on(pair, ["A B"])
+        assert is_lossless_on(pair, ["A B", "A B"])
+        assert is_lossless_on(pair, ["A B", "B"])
+        assert not is_lossless_on(pair, ["A", "B"])  # a cross product: four rows
+        assert not is_lossless_on(pair, [AttributeSet("A"), ["B"], ()])
+        assert is_lossless_on(Relation("A B"), ["A", "B"])
+        assert is_lossless_on(unit, [""])
+        assert is_lossless_on(unit, [(), ()])
+        assert is_lossless_on(Relation(()), [()])
+
+
 def _repair_to_satisfy(rel, f):
     chosen = {}
     rows = []
@@ -264,6 +282,84 @@ def _repair_to_satisfy(rel, f):
     out = Relation(rel.scheme, rows)
     assert out.satisfies(f)
     return out
+
+
+def _plain_table(attrs, tuples, onto):
+    """Set-of-tuples projection of ``tuples`` (over ``attrs``) onto the
+    names ``onto``, in that order."""
+    return {tuple(t[attrs.index(a)] for a in onto) for t in tuples}
+
+
+def _plain_join(tables):
+    """Nested-loop natural join of ``(names, tuples)`` tables, as a list
+    of dicts from name to value."""
+    rows = [{}]
+    for attrs, tuples in tables:
+        rows = [
+            {**row, **dict(zip(attrs, t))}
+            for row in rows
+            for t in tuples
+            if all(row.get(a, v) == v for a, v in zip(attrs, t))
+        ]
+    return rows
+
+
+def _rows_of(relation, attrs):
+    return {tuple(row[a] for a in attrs) for row in relation.rows}
+
+
+class TestEngineAgainstPlainSets:
+    def test_project_join_and_losslessness(self):
+        # a plain set-of-tuples reference, sharing no code with fdkit
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(400):
+            width = rng.randint(0, 7)
+            names = LETTERS[:width]
+            domain = rng.randint(1, 3)
+            tuples = {
+                tuple(rng.randrange(domain) for _ in names) for _ in range(rng.randint(0, 40))
+            }
+            rel = Relation.from_rows(names, tuples)
+
+            onto = sorted(rng.sample(names, rng.randint(0, width)))
+            got = rel.project(onto)
+            assert got.scheme == AttributeSet(onto)
+            assert _rows_of(got, onto) == _plain_table(names, tuples, onto)
+
+            parts = [sorted(rng.sample(names, rng.randint(0, width))) for _ in range(rng.randint(1, 5))]
+            missing = sorted(set(names).difference(*parts))
+            if missing and rng.random() < 0.8:
+                rng.choice(parts).extend(missing)
+            if set(names).difference(*parts):
+                with pytest.raises(CoverageError):
+                    is_lossless_on(rel, parts)
+                seen.add("uncovered")
+                continue
+            joined = _plain_join([(p, _plain_table(names, tuples, p)) for p in parts])
+            want = {tuple(row[a] for a in names) for row in joined} == tuples
+            given_parts = [rng.choice([p, " ".join(p), AttributeSet(p)]) for p in parts]
+            assert is_lossless_on(rel, given_parts) == want
+            seen.add(want)
+            seen.update(len(p) for p in parts if len(p) < 2)
+            seen.add(min(len(parts), 3))
+
+            rels = []
+            for _ in range(rng.randint(1, 4)):
+                scheme = sorted(rng.sample(LETTERS[:6], rng.randint(0, 3)))
+                values = {
+                    tuple(rng.randrange(domain) for _ in scheme) for _ in range(rng.randint(0, 8))
+                }
+                rels.append((scheme, values))
+            union = sorted(set().union(*(s for s, _ in rels)))
+            got = join([Relation.from_rows(s, v) for s, v in rels])
+            assert got.scheme == AttributeSet(union)
+            assert _rows_of(got, union) == {
+                tuple(row[a] for a in union) for row in _plain_join(rels)
+            }
+        # lossy and lossless verdicts, uncovered schemes, empty and
+        # one-attribute parts and three or more parts all occurred
+        assert seen >= {True, False, "uncovered", 0, 1, 3}
 
 
 class TestTwoTupleWitness:
