@@ -15,6 +15,7 @@ and never changes it afterwards.)
 from __future__ import annotations
 
 import re
+import weakref
 from typing import AbstractSet, Collection, Iterable, Iterator, Sequence, Union
 
 from .errors import UnknownAttributeError, UniverseMismatchError
@@ -23,7 +24,9 @@ __all__ = ["Attribute", "AttributeSet", "FD", "FDSet", "AttrsLike"]
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _SPLIT = re.compile(r"[\s,]+")
-_INTERNED: dict = {}  # name -> its one Attribute; see Attribute
+_INTERNED: dict = {}  # each name's one Attribute, keyed by itself; see Attribute
+_SWEEP_FLOOR = 1 << 16  # the table is swept only from this size on; see _sweep
+_sweep_at = _SWEEP_FLOOR
 _NOTHING = frozenset()
 _members = frozenset.__iter__  # unordered, without AttributeSet's sorted cache
 
@@ -35,13 +38,16 @@ class Attribute(str):
     case sensitive.  Equality, hashing and ordering are those of the name
     itself, so ``Attribute("A") == "A"``.
 
-    Each name is built once per process and then shared.  An instance of a
-    ``str`` subclass carries its own copy of the text, about 100 bytes, so
-    without sharing every row of a relation and every dependency would
-    hold one copy per attribute it mentions.
+    Each name is built once and then shared.  An instance of a ``str``
+    subclass carries its own copy of the text, about 100 bytes, so without
+    sharing every row of a relation and every dependency would hold one
+    copy per attribute it mentions.  The shared table lets go of the names
+    nothing else uses each time it has doubled since it last did (see
+    :func:`_sweep`), so a process that meets ever new names holds at most
+    about twice the names in use.
     """
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def __new__(cls, name: str):
         if isinstance(name, str):
@@ -49,6 +55,8 @@ class Attribute(str):
             if known is not None:
                 return known
             if _NAME.match(name):
+                if len(_INTERNED) >= _sweep_at:
+                    _sweep()
                 attr = str.__new__(cls, name)
                 return _INTERNED.setdefault(attr, attr)
         raise ValueError(f"invalid attribute name: {name!r}")
@@ -59,6 +67,32 @@ class Attribute(str):
 
     def __repr__(self) -> str:
         return f"Attribute({str(self)!r})"
+
+
+def _sweep() -> None:
+    """Drop from the shared table the attributes nothing else holds, and
+    let it grow to twice its new size, and at least to the floor, before
+    the next sweep.  A sweep costs one weak reference per name in the
+    table, which has doubled since the last one, so the cost per name
+    built stays bounded.
+
+    The table gives up its own references first: an attribute nothing
+    else holds is freed then, and the weak references find the rest.  The
+    table holds its attributes strongly between sweeps, so a lookup stays
+    one ``dict.get``, and a name whose users come and go, such as a
+    document parsed again and again, is built once, not once per use.  A
+    name that another thread builds during a sweep may get a second,
+    equal attribute; equality and hashing are by name, so only the
+    sharing is lost.
+    """
+    global _sweep_at
+    held = [weakref.ref(a) for a in _INTERNED]
+    _INTERNED.clear()
+    for ref in held:
+        attr = ref()
+        if attr is not None:
+            _INTERNED[attr] = attr
+    _sweep_at = max(_SWEEP_FLOOR, 2 * len(_INTERNED))
 
 
 AttrsLike = Union["AttributeSet", str, Iterable[Union[Attribute, str]]]

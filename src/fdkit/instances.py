@@ -7,7 +7,9 @@ never touches the closure machinery, and its token-unification repair
 also runs the tableau chase that decides losslessness.
 
 Relations have set semantics: duplicate rows collapse and row order never
-affects a result.  Rendering sorts rows so golden files stay stable.
+affects a result.  A relation stores its rows as value tuples in the name
+order of its scheme, and builds :class:`Row` objects only where it hands
+rows out.  Rendering sorts rows so golden files stay stable.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import csv
 import io
 import random
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import CoverageError, RelationFormatError, check_limit
 from .fds import FD, Attribute, AttributeSet, AttrsLike, FDSet, _attrset, _require_within
@@ -89,27 +91,37 @@ class Row:
 
 
 class Relation:
-    """A finite set of rows over a scheme."""
+    """A finite set of rows over a scheme.
 
-    __slots__ = ("_scheme", "_rows")
+    A relation stores its scheme and a frozenset of value tuples, each
+    holding one value per attribute in the scheme's name order.
+    Equality, hashing, projection, join and satisfaction work on those
+    tuples; :class:`Row` objects are built only where rows are handed
+    out: :attr:`rows`, iteration and :meth:`sorted_rows`.
+    """
+
+    __slots__ = ("_scheme", "_tuples")
 
     def __init__(self, scheme: AttrsLike, rows: Iterable = ()):
         self._scheme = AttributeSet(scheme)
-        collected = set()
+        attrs = tuple(self._scheme)
+        # itemgetter returns a tuple for two keys or more; the values of a
+        # row of width 0 or 1 are in name order as they stand
+        pick = itemgetter(*attrs) if len(attrs) > 1 else lambda values: tuple(values.values())
+        collected = []
         for r in rows:
             row = r if isinstance(r, Row) else Row(r)
             if self._scheme != row._values.keys():
                 raise ValueError(
                     f"row scheme {row.scheme} does not match relation scheme {self._scheme}"
                 )
-            collected.add(row)
-        self._rows = frozenset(collected)
+            collected.append(pick(row._values))
+        self._tuples = frozenset(collected)
 
     @classmethod
     def from_rows(cls, scheme: AttrsLike, rows: Iterable[Sequence[Token]]) -> "Relation":
         """Build from positional value tuples in canonical attribute order."""
-        scheme = AttributeSet(scheme)
-        attrs = tuple(scheme)
+        attrs = tuple(AttributeSet(scheme))
         out = []
         for values in rows:
             values = tuple(values)
@@ -117,8 +129,8 @@ class Relation:
                 raise ValueError(
                     f"expected {len(attrs)} values per row, got {len(values)}"
                 )
-            out.append(Row(dict(zip(attrs, values))))
-        return cls(scheme, out)
+            out.append(values)
+        return _relation(attrs, out, cls)
 
     @property
     def scheme(self) -> AttributeSet:
@@ -126,60 +138,65 @@ class Relation:
 
     @property
     def rows(self) -> frozenset:
-        return self._rows
+        """The rows, as a frozenset of :class:`Row` objects built afresh
+        on each access."""
+        attrs = tuple(self._scheme)
+        return frozenset(_row(attrs, values) for values in self._tuples)
 
     def sorted_rows(self) -> list:
+        """The rows as :class:`Row` objects built afresh, sorted by their
+        rendered values in name order."""
         attrs = tuple(self._scheme)
-        return sorted(self._rows, key=lambda r: tuple(str(r[a]) for a in attrs))
+        return [_row(attrs, values) for values in sorted(self._tuples, key=_rendered)]
 
     def __iter__(self) -> Iterator[Row]:
+        """Iterate over :meth:`sorted_rows`."""
         return iter(self.sorted_rows())
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._tuples)
 
     def __bool__(self) -> bool:
-        return bool(self._rows)
+        return bool(self._tuples)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Relation)
             and self._scheme == other._scheme
-            and self._rows == other._rows
+            and self._tuples == other._tuples
         )
 
     def __hash__(self) -> int:
-        return hash((self._scheme, self._rows))
+        return hash((self._scheme, self._tuples))
 
     def __repr__(self) -> str:
-        return f"Relation({self._scheme!r}, {len(self._rows)} rows)"
+        return f"Relation({self._scheme!r}, {len(self._tuples)} rows)"
 
     def project(self, y: AttrsLike) -> "Relation":
-        """Projection onto ``y``: restrict every row, collapsing duplicates.
-        Duplicates collapse as value tuples, before any row is built."""
+        """Projection onto ``y``: restrict every row, collapsing duplicates."""
         y = AttributeSet(y)
         _require_within(y, self._scheme, "attributes outside the scheme")
         return _relation(*self._table(y))
 
     def _table(self, y: AttributeSet) -> tuple:
         """The projection onto ``y`` (a subset of the scheme) as a table:
-        ``y``'s attributes in name order and the set of the rows' distinct
+        ``y``'s attributes in name order and the frozenset of the distinct
         value tuples on them, in that order."""
         attrs = tuple(y)
-        pick = _picker(attrs)
-        return attrs, {pick(row._values) for row in self._rows}
+        if len(attrs) == len(self._scheme):
+            return attrs, self._tuples
+        return attrs, frozenset(map(_picker(tuple(self._scheme), attrs), self._tuples))
 
     def satisfies(self, fd: FD) -> bool:
         """Whether no two rows agree on ``fd.lhs`` yet differ on ``fd.rhs``."""
         _require_within(fd.attributes, self._scheme, "attributes outside the scheme")
-        lhs = tuple(fd.lhs)
-        rhs = tuple(fd.rhs)
+        scheme = tuple(self._scheme)
+        lhs = _picker(scheme, fd.lhs)
+        rhs = _picker(scheme, fd.rhs)
         groups: dict = {}
-        for row in self._rows:
-            key = tuple(row._values[a] for a in lhs)
-            image = tuple(row._values[a] for a in rhs)
-            prior = groups.setdefault(key, image)
-            if prior != image:
+        for values in self._tuples:
+            image = rhs(values)
+            if groups.setdefault(lhs(values), image) != image:
                 return False
         return True
 
@@ -191,10 +208,8 @@ class Relation:
         then rows sorted lexicographically by their rendered values."""
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        attrs = tuple(self._scheme)
-        writer.writerow(attrs)
-        for row in self.sorted_rows():
-            writer.writerow([str(row[a]) for a in attrs])
+        writer.writerow(self._scheme)
+        writer.writerows(sorted(map(_rendered, self._tuples)))
         return buffer.getvalue()
 
     @classmethod
@@ -210,7 +225,7 @@ class Relation:
         except StopIteration:
             raise RelationFormatError("relation CSV needs a header row")
         try:
-            attrs = [Attribute(name.strip()) for name in header]
+            attrs = tuple(Attribute(name.strip()) for name in header)
         except ValueError as exc:
             raise RelationFormatError(str(exc))
         if len(set(attrs)) != len(attrs):
@@ -223,36 +238,48 @@ class Relation:
                 raise RelationFormatError(
                     f"line {lineno}: expected {len(attrs)} values, got {len(record)}"
                 )
-            rows.append(Row(dict(zip(attrs, record))))
-        return cls(AttributeSet(attrs), rows)
+            rows.append(tuple(record))
+        return _relation(attrs, rows, cls)
 
 
-def _picker(keys: Sequence) -> Callable:
-    """A function from a row's values (a dict, or a value tuple) to the
-    tuple of its values at ``keys``, in that order."""
-    if len(keys) == 1:
-        (key,) = keys
-        return lambda values: (values[key],)
-    return itemgetter(*keys) if keys else lambda values: ()
+def _picker(attrs: tuple, keys: Iterable[Attribute]) -> Callable:
+    """A function from a value tuple over ``attrs`` to the tuple of its
+    values on ``keys``, in that order.  Fewer than two values are picked
+    as a slice, which is a tuple too."""
+    positions = [attrs.index(a) for a in keys]
+    if len(positions) < 2:
+        return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+    return itemgetter(*positions)
 
 
-def _relation(attrs: tuple, tuples: Iterable[tuple]) -> Relation:
-    """The relation over ``attrs`` with one row per value tuple, the
-    values in ``attrs`` order.
+def _rendered(values: tuple) -> tuple:
+    """A value tuple as rendered: each value as its ``str``."""
+    return tuple(map(str, values))
 
-    ``attrs`` are a checked scheme's own attributes, so the rows are
-    right by construction and skip the checks of ``Row`` and
-    ``Relation``.
+
+def _row(attrs: tuple, values: tuple) -> Row:
+    """The row with ``values`` on ``attrs``, a checked scheme's own
+    attributes, so the checks of ``Row`` are skipped."""
+    row = object.__new__(Row)
+    row._values = dict(zip(attrs, values))
+    row._hash = None
+    return row
+
+
+def _relation(attrs: tuple, tuples: Iterable[tuple], cls: type = Relation) -> Relation:
+    """The ``cls`` relation over ``attrs``, a checked scheme's own
+    attributes in any order, whose rows are the value tuples ``tuples``,
+    in ``attrs`` order.
+
+    The tuples are stored permuted into name order, the order that
+    equality, hashing and rendering read them in.
     """
-    rows = []
-    for values in tuples:
-        row = object.__new__(Row)
-        row._values = dict(zip(attrs, values))
-        row._hash = None
-        rows.append(row)
-    rel = object.__new__(Relation)
+    rel = object.__new__(cls)
     rel._scheme = _attrset(attrs)
-    rel._rows = frozenset(rows)
+    order = tuple(rel._scheme)
+    if order != attrs:
+        tuples = map(_picker(attrs, order), tuples)
+    rel._tuples = frozenset(tuples)
     return rel
 
 
@@ -276,22 +303,24 @@ def _hash_join(left: tuple, right: tuple) -> tuple:
     rattrs, rtuples = right
     shared = [a for a in rattrs if a in lattrs]
     rest = tuple(a for a in rattrs if a not in lattrs)
-    rkey = _picker([rattrs.index(a) for a in shared])
-    rrest = _picker([rattrs.index(a) for a in rest])
+    rkey = _picker(rattrs, shared)
+    rrest = _picker(rattrs, rest)
     index: dict = {}
     for values in rtuples:
         index.setdefault(rkey(values), []).append(rrest(values))
-    lkey = _picker([lattrs.index(a) for a in shared])
+    lkey = _picker(lattrs, shared)
     return lattrs + rest, ((values, index.get(lkey(values), ())) for values in ltuples)
 
 
 def _join_to_last(tables: Sequence[tuple]) -> tuple:
     """Join ``tables`` left to right, building every step but the last,
-    which is returned unbuilt as :func:`_hash_join` gives it."""
+    which is returned unbuilt as :func:`_hash_join` gives it.  The first
+    table is the left side of the first step; a lone table is joined to
+    the identity, so that its one step too is returned unbuilt."""
     if not tables:
         raise ValueError("join requires at least one relation")
-    acc = _UNIT
-    for table in tables[:-1]:
+    acc = tables[0] if len(tables) > 1 else _UNIT
+    for table in tables[1:-1]:
         attrs, matches = _hash_join(acc, table)
         acc = attrs, [t + r for t, rests in matches for r in rests]
     return _hash_join(acc, tables[-1])
@@ -302,8 +331,8 @@ def join(relations: Sequence[Relation]) -> Relation:
     each input scheme appears in that input.
 
     Computed pairwise left to right by hash joins on value tuples; the
-    result is independent of the order.  Rows are built once, for the
-    result.  Disjoint schemes produce a full cross product.
+    result is independent of the order.  Disjoint schemes produce a full
+    cross product.
     """
     attrs, matches = _join_to_last([rel._table(rel.scheme) for rel in relations])
     return _relation(attrs, (t + r for t, rests in matches for r in rests))
@@ -402,31 +431,30 @@ def _unify(sigma: FDSet, rows: list) -> None:
     strictly decreases and the loop terminates.
     """
     attrs = tuple(sigma.universe)
-    while True:
-        violation = None
-        for fd in sigma:
-            lhs = tuple(fd.lhs)
-            rhs = tuple(fd.rhs)
-            groups: dict = {}
-            for row in rows:
-                key = tuple(row[a] for a in lhs)
-                prior = groups.setdefault(key, row)
-                if prior is not row:
-                    for a in rhs:
-                        if prior[a] != row[a]:
-                            violation = (prior[a], row[a])
-                            break
-                if violation:
-                    break
-            if violation:
-                break
-        if violation is None:
-            break
+    violation = _violation(sigma, rows)
+    while violation is not None:
         keep, drop = violation
         for row in rows:
             for a in attrs:
                 if row[a] == drop:
                     row[a] = keep
+        violation = _violation(sigma, rows)
+
+
+def _violation(sigma: FDSet, rows: list) -> Optional[tuple]:
+    """The first violation of ``sigma`` among ``rows``, in dependency
+    then row order: the differing tokens ``(first, second)`` of two rows
+    that agree on an fd's left side but not on its right side.  ``None``
+    when the rows satisfy ``sigma``."""
+    for fd in sigma:
+        lhs, rhs = tuple(fd.lhs), tuple(fd.rhs)
+        groups: dict = {}
+        for row in rows:
+            prior = groups.setdefault(tuple(row[a] for a in lhs), row)
+            for a in rhs:
+                if prior[a] != row[a]:
+                    return prior[a], row[a]
+    return None
 
 
 def _chase(sigma: FDSet, parts: Sequence[AttributeSet]) -> Relation:
@@ -445,7 +473,7 @@ def _chase(sigma: FDSet, parts: Sequence[AttributeSet]) -> Relation:
         for i, part in enumerate(parts)
     ]
     _unify(sigma, rows)
-    return Relation(sigma.universe, [Row(r) for r in rows])
+    return Relation(sigma.universe, rows)
 
 
 def _fixpoint(sigma: FDSet, seed: Iterable[Attribute]) -> set:
@@ -482,7 +510,7 @@ def random_satisfying_instance(
     """
     universe = sigma.universe
     if not universe:
-        return Relation(universe, [Row({})])
+        return Relation(universe, [{}])
     attrs = tuple(universe)
     base = _fixpoint(sigma, ())
     rows: list = []
@@ -502,4 +530,4 @@ def random_satisfying_instance(
         for a in _fixpoint(sigma, [a for a in attrs if rng.random() < 0.5]):
             rows[j][a] = rows[i][a]
     _unify(sigma, rows)
-    return Relation(universe, [Row(r) for r in rows])
+    return Relation(universe, rows)

@@ -1,6 +1,7 @@
 """Attribute, AttributeSet, FD, and FDSet behaviour, including the
 closure laws."""
 
+import gc
 import pickle
 import random
 from itertools import combinations
@@ -30,10 +31,12 @@ from fdkit import (
     minimum_cover,
     nonredundant_cover,
     oracle_implies,
+    parse_schema,
     project_fds,
     reduce_to_schema,
     reduced_cover,
 )
+from fdkit import fds
 from fdkit.fds import _ClosureIndex
 
 from util import LETTERS, fd, fdset, random_fdset, random_subset
@@ -79,6 +82,26 @@ class TestAttribute:
         assert Attribute("A12") is Attribute("A12")
         assert AttributeSet("A12 B").names == ("A12", "B")
         assert next(iter(AttributeSet("A12"))) is Attribute("A12")
+
+    def test_names_nothing_uses_leave_the_shared_table(self, monkeypatch):
+        # the table drops the names nothing else holds whenever it has
+        # doubled: parsing documents of ever new names keeps it bounded, a
+        # sweep leaves exactly the names in use, and those stay shared
+        kept = Attribute("kept_name")
+        monkeypatch.setattr(fds, "_SWEEP_FLOOR", 3000)
+        monkeypatch.setattr(fds, "_sweep_at", 0)
+        gc.collect()
+        swept_on = Attribute("swept_on")  # the first name built sweeps the table
+        before = len(fds._INTERNED)
+        bound = max(3000, 2 * before) + 2000
+        for doc in range(10):
+            names = [f"fresh{doc}_{i}" for i in range(2000)]
+            assert parse_schema(f"fd {' '.join(names[1:])} -> {names[0]}\n").ok
+            assert len(fds._INTERNED) <= bound
+        gc.collect()
+        fds._sweep()
+        assert len(fds._INTERNED) == before
+        assert Attribute("kept_name") is kept and Attribute("swept_on") is swept_on
 
 
 class TestAttributeSet:

@@ -1,6 +1,7 @@
 """Relation instances: projection, join, satisfaction, witnesses, and the
 brute-force implication oracle, anchored on the worked golden tables."""
 
+import hashlib
 import itertools
 import random
 
@@ -26,6 +27,7 @@ from fdkit import (
     two_tuple_witness,
 )
 from fdkit.fds import _ClosureIndex
+from fdkit.instances import _chase
 
 from util import LETTERS, fd, fdset, load_relation, random_fdset, random_subset
 
@@ -412,9 +414,9 @@ class TestOracleImplies:
             oracle_implies(sigma, fd("A -> B"), limit=5)
 
     def test_answers_without_the_closure_kernel(self, monkeypatch):
-        # the oracle and the instance generator are independent checks on
-        # the closure kernel, so they must keep working when the kernel is
-        # unavailable
+        # the oracle, the instance generator and the chase are independent
+        # checks on the closure kernel, so they must keep working when the
+        # kernel is unavailable
         sigma = fdset("B -> C", "A -> B")
         rng = random.Random(11)
         sigmas = [random_fdset(rng, LETTERS[:6], min_fds=1) for _ in range(20)]
@@ -430,6 +432,7 @@ class TestOracleImplies:
         for other in [sigma] + sigmas:
             instance = random_satisfying_instance(other, rng, max_witnesses=4, max_merges=4)
             assert instance.satisfies_all(other)
+            assert _chase(other, [AttributeSet([a]) for a in other.universe]).satisfies_all(other)
 
     def test_matches_materialized_two_row_relations(self):
         # the bitmask patterns are exactly the two-row relations whose rows
@@ -543,3 +546,105 @@ class TestRandomSatisfyingInstance:
         one = random_satisfying_instance(sigma, random.Random(5))
         two = random_satisfying_instance(sigma, random.Random(5))
         assert one == two
+
+
+def _built_every_way(tuples):
+    """The relation over A B C D holding the string tuples ``tuples`` (in
+    name order), from each constructor and from a projection."""
+    dicts = [dict(zip("DBAC", (d, b, a, c))) for a, b, c, d in tuples]
+    text = "C,A,D,B\n" + "".join(f"{c},{a},{d},{b}\n" for a, b, c, d in reversed(tuples))
+    wide = [(a, b, c, cc, d) for a, b, c, d in tuples for cc in "pq"]
+    return [
+        Relation("D B A C", dicts),
+        Relation("A B C D", [Row(r) for r in dicts]),
+        Relation.from_rows("A B C D", tuples),
+        Relation.from_csv(text),
+        Relation.from_rows("A B C CC D", wide).project("A B C D"),
+    ]
+
+
+def _assert_all_alike(relations, tuples):
+    want = Relation.from_rows("A B C D", tuples)
+    rows = {Row(dict(zip("ABCD", t))) for t in tuples}
+    assert want.rows == rows and len(want) == len(rows)
+    for rel in relations:
+        assert rel == want and hash(rel) == hash(want)
+        assert rel.to_csv() == want.to_csv()
+        assert [repr(r) for r in rel.sorted_rows()] == [repr(r) for r in want.sorted_rows()]
+        assert rel.rows == rows
+
+
+class TestCanonicalOrder:
+    # a relation holds its value tuples in name order however it was built;
+    # the hash join returns its attributes in another order, which must not
+    # leak into equality, hashing or rendering
+    def test_constructors_projection_and_joins_agree(self):
+        ac = [("0", "1"), ("1", "0"), ("1", "1")]
+        bd = [("x", "y"), ("z", "y")]
+        tuples = [(a, b, c, d) for a, c in ac for b, d in bd]
+        parts = [
+            Relation.from_rows("B D", bd),
+            Relation.from_rows("A C", ac),
+            Relation.from_rows("C", [(c,) for _, c in ac]),
+        ]
+        joins = [join(list(order)) for order in itertools.permutations(parts)]
+        _assert_all_alike(_built_every_way(tuples) + joins, tuples)
+
+    def test_chase_output_agrees(self):
+        chased = _chase(FDSet((), universe="A B C D"), [AttributeSet("B D"), AttributeSet("A C")])
+        tuples = [("A.0", "B", "C.0", "D"), ("A", "B.1", "C", "D.1")]
+        _assert_all_alike(_built_every_way(tuples) + [chased], tuples)
+
+
+def _pin_value(rng, attr):
+    # integers in columns A, C, E and strings in B, D, F: a column never
+    # mixes 1 and "1", which render alike and so sort in hash order
+    if LETTERS.index(attr) % 2 == 0:
+        return rng.randrange(4)
+    return rng.choice(("0", "1", "x y", "a,b", 'q"t'))
+
+
+def _pin_relation(rng, width):
+    names = rng.sample(LETTERS[:6], width)
+    rows = [{a: _pin_value(rng, a) for a in names} for _ in range(rng.randint(0, 8))]
+    return Relation(names, rows)
+
+
+def _pin_render(relation):
+    return "|".join(
+        [str(relation.scheme), str(len(relation)), relation.to_csv()]
+        + [repr(row) for row in relation.sorted_rows()]
+    )
+
+
+def _pin_outcome(call):
+    try:
+        result = call()
+    except Exception as exc:  # the pinned outcome is the error's type
+        return type(exc).__name__
+    return _pin_render(result) if isinstance(result, Relation) else repr(result)
+
+
+class TestPinnedOutputs:
+    def test_relation_outputs_are_unchanged(self):
+        # renderings, projections, joins and verdicts of a seeded family of
+        # relations, byte for byte as the engine gave them when relations
+        # still stored Row objects
+        rng = random.Random(57)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            rel = _pin_relation(rng, rng.randint(0, 6))
+            names = list(rel.scheme)
+            onto = rng.sample(names, rng.randint(0, len(names)))
+            others = [_pin_relation(rng, rng.randint(0, 4)) for _ in range(rng.randint(0, 3))]
+            parts = [rng.sample(names, rng.randint(0, len(names))) for _ in range(rng.randint(0, 3))]
+            fds = [
+                FD(*(rng.sample(names, rng.randint(0, len(names))) for _ in "lr")) for _ in range(2)
+            ] + [FD("A", "F")]
+            outcomes = [_pin_render(rel), _pin_outcome(lambda: rel.project(onto))]
+            outcomes.append(_pin_outcome(lambda: join([rel] + others)))
+            outcomes.append(_pin_outcome(lambda: join(others)))
+            outcomes.append(_pin_outcome(lambda: is_lossless_on(rel, parts)))
+            outcomes += [_pin_outcome(lambda f=f: rel.satisfies(f)) for f in fds]
+            digest.update("\n".join(outcomes).encode())
+        assert digest.hexdigest() == "14f5818e3ab78269688219f68918c4f8853880f3f291e581cfdca3f04e09f2bd"
