@@ -39,12 +39,12 @@ class Attribute(str):
     itself, so ``Attribute("A") == "A"``.
 
     Each name is built once and then shared.  An instance of a ``str``
-    subclass carries its own copy of the text, about 100 bytes, so without
-    sharing every row of a relation and every dependency would hold one
-    copy per attribute it mentions.  The shared table lets go of the names
-    nothing else uses each time it has doubled since it last did (see
-    :func:`_sweep`), so a process that meets ever new names holds at most
-    about twice the names in use.
+    subclass carries its own copy of the text, about 100 bytes; sharing
+    lets dependencies and parsed documents hold one object per name, and
+    building a name already known costs one ``dict.get``.  The shared
+    table lets go of the names nothing else uses each time it has doubled
+    since it last did (see :func:`_sweep`), so a process that meets ever
+    new names holds at most about twice the names in use.
     """
 
     __slots__ = ("__weakref__",)

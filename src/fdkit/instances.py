@@ -190,17 +190,11 @@ class Relation:
     def satisfies(self, fd: FD) -> bool:
         """Whether no two rows agree on ``fd.lhs`` yet differ on ``fd.rhs``."""
         _require_within(fd.attributes, self._scheme, "attributes outside the scheme")
-        scheme = tuple(self._scheme)
-        lhs = _picker(scheme, fd.lhs)
-        rhs = _picker(scheme, fd.rhs)
-        groups: dict = {}
-        for values in self._tuples:
-            image = rhs(values)
-            if groups.setdefault(lhs(values), image) != image:
-                return False
-        return True
+        return _conflict(tuple(self._scheme), fd, self._tuples) is None
 
     def satisfies_all(self, sigma: FDSet) -> bool:
+        """Whether the relation satisfies every dependency in ``sigma``;
+        ``True`` for an empty ``sigma``."""
         return all(self.satisfies(fd) for fd in sigma)
 
     def to_csv(self) -> str:
@@ -250,6 +244,22 @@ def _picker(attrs: tuple, keys: Iterable[Attribute]) -> Callable:
     if len(positions) < 2:
         return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
     return itemgetter(*positions)
+
+
+def _conflict(attrs: tuple, fd: FD, rows: Iterable[tuple]) -> Optional[tuple]:
+    """The first two value tuples over ``attrs``, in ``rows`` order, that
+    agree on ``fd.lhs`` but not on ``fd.rhs``, as their images on
+    ``fd.rhs``: ``(earlier, later)``.  ``None`` when ``rows`` satisfy
+    ``fd``."""
+    lhs = _picker(attrs, fd.lhs)
+    rhs = _picker(attrs, fd.rhs)
+    groups: dict = {}
+    for values in rows:
+        image = rhs(values)
+        prior = groups.setdefault(lhs(values), image)
+        if prior != image:
+            return prior, image
+    return None
 
 
 def _rendered(values: tuple) -> tuple:
@@ -375,12 +385,10 @@ def two_tuple_witness(sigma: FDSet, x: AttrsLike) -> Relation:
     with left side ``x``.  When the closure is the whole universe the two
     rows coincide and collapse to one.
     """
-    x = AttributeSet(x)
-    closure = sigma.closure(x)
-    universe = sigma.universe
-    u = {a: "0" for a in universe}
-    v = {a: ("0" if a in closure else "1") for a in universe}
-    return Relation(universe, [u, v])
+    closure = sigma.closure(AttributeSet(x))
+    attrs = tuple(sigma.universe)
+    v = tuple("0" if a in closure else "1" for a in attrs)
+    return _relation(attrs, [("0",) * len(attrs), v])
 
 
 def oracle_implies(sigma: FDSet, fd: FD, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
@@ -422,58 +430,42 @@ def oracle_implies(sigma: FDSet, fd: FD, limit: int = DEFAULT_ORACLE_LIMIT) -> b
     return True
 
 
-def _unify(sigma: FDSet, rows: list) -> None:
-    """Repair ``rows`` (dicts over the universe) in place until they
-    satisfy ``sigma``: while two rows agree on an fd's left side but
-    differ on its right side, rename the second value token to the
-    first everywhere.  This is the chase step of Aho, Beeri & Ullman.
-    Each step merges two tokens, so the number of distinct tokens
-    strictly decreases and the loop terminates.
+def _unify(sigma: FDSet, rows: list) -> list:
+    """Repair ``rows``, value tuples over ``sigma``'s universe in name
+    order, until they satisfy ``sigma``, and return the repaired tuples.
+
+    Each step takes the first dependency, in ``sigma``'s order, with a
+    :func:`_conflict`, and renames the later row's first differing token
+    to the earlier row's token everywhere.  This is the chase step of
+    Aho, Beeri & Ullman.  Each step merges two tokens, so the number of
+    distinct tokens strictly decreases and the loop terminates.
     """
     attrs = tuple(sigma.universe)
-    violation = _violation(sigma, rows)
-    while violation is not None:
-        keep, drop = violation
-        for row in rows:
-            for a in attrs:
-                if row[a] == drop:
-                    row[a] = keep
-        violation = _violation(sigma, rows)
-
-
-def _violation(sigma: FDSet, rows: list) -> Optional[tuple]:
-    """The first violation of ``sigma`` among ``rows``, in dependency
-    then row order: the differing tokens ``(first, second)`` of two rows
-    that agree on an fd's left side but not on its right side.  ``None``
-    when the rows satisfy ``sigma``."""
-    for fd in sigma:
-        lhs, rhs = tuple(fd.lhs), tuple(fd.rhs)
-        groups: dict = {}
-        for row in rows:
-            prior = groups.setdefault(tuple(row[a] for a in lhs), row)
-            for a in rhs:
-                if prior[a] != row[a]:
-                    return prior[a], row[a]
-    return None
+    while True:
+        conflict = next(filter(None, (_conflict(attrs, fd, rows) for fd in sigma)), None)
+        if conflict is None:
+            return rows
+        keep, drop = next((k, d) for k, d in zip(*conflict) if k != d)
+        rows = [tuple(keep if t == drop else t for t in values) for values in rows]
 
 
 def _chase(sigma: FDSet, parts: Sequence[AttributeSet]) -> Relation:
     """The chased tableau of the decomposition of ``sigma``'s universe
     into ``parts`` (Aho, Beeri & Ullman, TODS 1979).
 
-    The tableau has one row per part: the part's own attributes carry
-    the attribute's bare name, every other cell a token of its own.
-    Repairing it yields a relation ``T`` that satisfies ``sigma``, and
-    the decomposition is lossless exactly when ``is_lossless_on(T,
-    parts)``; otherwise ``T`` itself is a lossy instance.
+    The tableau has one value tuple per part: the part's own attributes
+    carry the attribute's bare name, every other cell a token of its
+    own.  :func:`_unify` repairs it into a relation ``T`` that satisfies
+    ``sigma``, and the decomposition is lossless exactly when
+    ``is_lossless_on(T, parts)``; otherwise ``T`` itself is a lossy
+    instance.
     """
     attrs = tuple(sigma.universe)
     rows = [
-        {a: (a.name if a in part else f"{a.name}.{i}") for a in attrs}
+        tuple(a.name if a in part else f"{a.name}.{i}" for a in attrs)
         for i, part in enumerate(parts)
     ]
-    _unify(sigma, rows)
-    return Relation(sigma.universe, rows)
+    return _relation(attrs, _unify(sigma, rows))
 
 
 def _fixpoint(sigma: FDSet, seed: Iterable[Attribute]) -> set:
@@ -507,27 +499,26 @@ def random_satisfying_instance(
     another over a random closed set; any violations that introduces are
     repaired by the chase step of :func:`_unify` until the instance
     satisfies ``sigma`` again.
+
+    Raises ``ValueError`` when ``max_witnesses`` is below 1 or
+    ``max_merges`` below 0.
     """
-    universe = sigma.universe
-    if not universe:
-        return Relation(universe, [{}])
-    attrs = tuple(universe)
+    if max_witnesses < 1:
+        raise ValueError(f"max_witnesses must be at least 1, got {max_witnesses}")
+    if max_merges < 0:
+        raise ValueError(f"max_merges must be at least 0, got {max_merges}")
+    attrs = tuple(sigma.universe)
+    if not attrs:
+        return _relation(attrs, [()])
     base = _fixpoint(sigma, ())
     rows: list = []
     for w in range(rng.randint(1, max_witnesses)):
         closed = _fixpoint(sigma, [a for a in attrs if rng.random() < 0.5])
-        u = {a: f"{a.name}.{w}a" for a in attrs}
-        v = {a: (u[a] if a in closed else f"{a.name}.{w}b") for a in attrs}
-        for a in base:
-            u[a] = f"{a.name}.base"
-            v[a] = f"{a.name}.base"
-        rows.append(u)
-        rows.append(v)
+        u = tuple(f"{a.name}.base" if a in base else f"{a.name}.{w}a" for a in attrs)
+        v = tuple(t if a in closed else f"{a.name}.{w}b" for a, t in zip(attrs, u))
+        rows += [u, v]
     for _ in range(rng.randint(0, max_merges)):
-        if len(rows) < 2:
-            break
         i, j = rng.sample(range(len(rows)), 2)
-        for a in _fixpoint(sigma, [a for a in attrs if rng.random() < 0.5]):
-            rows[j][a] = rows[i][a]
-    _unify(sigma, rows)
-    return Relation(universe, rows)
+        merged = _fixpoint(sigma, [a for a in attrs if rng.random() < 0.5])
+        rows[j] = tuple(p if a in merged else q for a, p, q in zip(attrs, rows[i], rows[j]))
+    return _relation(attrs, _unify(sigma, rows))

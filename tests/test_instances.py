@@ -547,6 +547,19 @@ class TestRandomSatisfyingInstance:
         two = random_satisfying_instance(sigma, random.Random(5))
         assert one == two
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"max_witnesses": 0}, "max_witnesses"), ({"max_merges": -1}, "max_merges")],
+    )
+    def test_refuses_empty_ranges_by_argument_name(self, kwargs, name):
+        # refused before any draw, for the empty universe too
+        for sigma in (fdset("A -> B"), FDSet((), universe="")):
+            rng = random.Random(5)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match=f"^{name} must be at least"):
+                random_satisfying_instance(sigma, rng, **kwargs)
+            assert rng.getstate() == state
+
 
 def _built_every_way(tuples):
     """The relation over A B C D holding the string tuples ``tuples`` (in
@@ -648,3 +661,20 @@ class TestPinnedOutputs:
             outcomes += [_pin_outcome(lambda f=f: rel.satisfies(f)) for f in fds]
             digest.update("\n".join(outcomes).encode())
         assert digest.hexdigest() == "14f5818e3ab78269688219f68918c4f8853880f3f291e581cfdca3f04e09f2bd"
+
+    def test_chase_and_witness_outputs_are_unchanged(self):
+        # chased tableaux and two-row witnesses of seeded decompositions,
+        # byte for byte as the engine gave them when the chase repaired
+        # dict rows
+        rng = random.Random(61)
+        digest = hashlib.sha256()
+        for _ in range(1000):
+            names = LETTERS[: rng.randint(1, 8)]
+            sigma = random_fdset(rng, names)
+            parts = [set(random_subset(rng, names)) for _ in range(rng.randint(1, 4))]
+            for a in names:
+                rng.choice(parts).add(a)
+            parts = [AttributeSet(p) for p in parts]
+            digest.update(_chase(sigma, parts).to_csv().encode())
+            digest.update(two_tuple_witness(sigma, random_subset(rng, names)).to_csv().encode())
+        assert digest.hexdigest() == "a8673038919407972339113bc486fbc80afc8a907084947bd874e82a7996cd9e"
