@@ -100,11 +100,29 @@ def project_fds(
     """Cover of every implied dependency whose attributes all lie in ``x``.
 
     Enumerates left sides ``S`` over subsets of ``x`` in (size, canonical)
-    order and emits ``S -> (closure(S) & x) - S``.  Left sides with a
-    removable attribute, one in the closure of the rest of ``S``, are
-    skipped, since the smaller subset carries the same image, and the
-    collected set is compressed with
+    order and emits ``S -> img(S) - S``, where ``img(S)`` is
+    ``closure(S) & x``, then compresses the collected set with
     :func:`nonredundant_cover`.  The result's universe is ``x``.
+
+    Three kinds of left side are skipped before that sweep.  A proper
+    superset of a superkey of ``x`` is never closed at all (see
+    :meth:`~fdkit.fds._Lattice.scan`).  A left side with a removable
+    attribute, one in the closure of the rest of ``S``, carries the image
+    of the smaller subset.  And a free ``S`` is skipped when its proper
+    subsets already give its image: ``img(S)`` lies inside ``S`` and the
+    images of the ``S - a``.  That test reads the closures the scan holds.
+
+    Skipping leaves the greedy sweep's output unchanged.  The sweep would
+    drop such an ``S``: closing ``S - a`` never fires ``S``, which is
+    free, so the other candidates give each ``img(S - a)`` and with them
+    ``img(S)``.  Nor does ``S`` decide the fate of another candidate
+    ``T -> ...``.  ``S`` can fire in the closure of ``T`` only inside
+    ``img(T)``, and then ``T`` lies in no ``img(S - a)``, or ``S`` would
+    lie there too and not be free.  So the candidate under test never
+    fires while an ``S - a`` is closed, the others give each
+    ``img(S - a)`` without ``S`` or any other skipped candidate (by
+    induction on the size of the image, which shrinks from ``S`` to
+    ``S - a``), and ``S`` adds nothing.
 
     Exponential in ``len(x)`` by design; inputs beyond ``limit``
     attributes are refused with :class:`LimitExceededError`.
@@ -116,10 +134,15 @@ def project_fds(
     full = lattice.mask(x)
     out = []
     for s, closed, prev in lattice.scan(full):
-        rhs = closed & full & ~s
-        if not rhs:
+        image = closed & full
+        if not image & ~s or not _free(s, prev):
             continue
-        if not _free(s, prev):
-            continue
-        out.append(FD(lattice.attrs(s), lattice.attrs(rhs)))
+        given = s
+        rest = s
+        while rest:
+            b = rest & -rest
+            given |= prev[s ^ b]
+            rest ^= b
+        if image & ~given:
+            out.append(FD(lattice.attrs(s), lattice.attrs(image & ~s)))
     return nonredundant_cover(FDSet(out, universe=x))

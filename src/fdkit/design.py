@@ -203,8 +203,10 @@ def enumerate_keys(
 
     Subsets are closed in ascending size, and a superkey is kept when
     none of its one-smaller subsets is a superkey, so everything kept is
-    minimal.  Exponential by design; schemes beyond ``limit`` attributes
-    are refused.
+    minimal.  No proper superset of a superkey is closed: the scan never
+    extends a superkey, since nothing above one can be minimal.
+    Exponential by design; schemes beyond ``limit`` attributes are
+    refused.
     """
     check_limit("key enumeration", len(scheme.attrs), limit)
     lattice = _Lattice(sigma)

@@ -383,53 +383,65 @@ class _Lattice:
 
     def scan(self, full: int) -> Iterator[tuple]:
         """Yield ``(s, closure(s), prev)`` for every subset ``s`` of the
-        scheme ``full``, in (size, canonical) order: smaller subsets
-        first, and subsets of one size in lexicographic name order, the
-        order of ``itertools.combinations``.  This order fixes the
-        witness each search reports first.
+        scheme ``full`` that holds no superkey of ``full``, and for every
+        superkey reached from such a subset by adding one bit above its
+        last one, in (size, canonical) order: smaller subsets first, and
+        subsets of one size in lexicographic name order, the order of
+        ``itertools.combinations``.  This order fixes the witness each
+        search reports first.
 
         The subsets of one size are those of the size before, in their
-        order, each extended by every scheme bit above its last one.  So
-        every ``s - last``, and indeed every ``s - a``, was visited one
-        size earlier, and ``prev`` maps each of them to its closure.
+        order, each extended by every scheme bit above its last one.
         ``s`` is closed from the closure of ``s - last``: unchanged when
         that already holds ``last``, and otherwise grown by firing only
-        the members that wait on newly reached bits.  Only two sizes are
-        held at once.
+        the members that wait on newly reached bits.  A superkey is
+        yielded but never extended, so no proper superset of one is
+        closed.  No search can answer with such a superset: it is not
+        free, since each bit it adds lies in the closure of the rest, and
+        as a superkey it breaks no normal form.  ``prev`` maps every subset of the
+        size before that is not a superkey to its closure, and holds no
+        other subset; :func:`_free` reads it so.  Only two sizes are held
+        at once.
         """
         grow = self._grow
         bits = []
-        while full:
-            bits.append(full & -full)
-            full ^= bits[-1]
+        rest = full
+        while rest:
+            bits.append(rest & -rest)
+            rest ^= bits[-1]
         # the bit length of a subset's last bit -> the scheme bits above it
         above = {0: bits}
         for i, b in enumerate(bits):
             above[b.bit_length()] = bits[i + 1 :]
-        prev = {0: self.bottom}
+        prev = {0: self.bottom} if full & ~self.bottom else {}
         yield 0, self.bottom, {}
-        for _ in bits:
+        while prev:
             cur = {}
             for base, closed in prev.items():
                 for last in above[base.bit_length()]:
                     s = base | last
                     image = closed if closed & last else grow(closed | last, last)
-                    cur[s] = image
+                    if full & ~image:
+                        cur[s] = image
                     yield s, image, prev
             prev = cur
 
 
 def _free(s: int, prev: dict) -> bool:
     """Whether no bit of ``s`` lies in the closure of the rest of ``s``,
-    read from ``prev``, the closures of its one-smaller subsets.
+    read from ``prev``, the closures that :meth:`_Lattice.scan` holds for
+    the subsets one smaller than ``s``.
 
-    A superkey is a key exactly when it is free, and a projection needs
-    only the left sides that are free: dropping a bit in the closure of
-    the rest keeps the image."""
+    A one-smaller subset missing from ``prev`` is a superkey of the
+    scheme, so its closure holds the bit it lacks: a missing entry reads
+    as "``b`` is in the closure of the rest", which is exact.  A superkey
+    is a key exactly when it is free, and a projection needs only the
+    left sides that are free: dropping a bit in the closure of the rest
+    keeps the image."""
     rest = s
     while rest:
         b = rest & -rest
-        if prev[s ^ b] & b:
+        if prev.get(s ^ b, b) & b:
             return False
         rest ^= b
     return True

@@ -190,7 +190,8 @@ class Relation:
     def satisfies(self, fd: FD) -> bool:
         """Whether no two rows agree on ``fd.lhs`` yet differ on ``fd.rhs``."""
         _require_within(fd.attributes, self._scheme, "attributes outside the scheme")
-        return _conflict(tuple(self._scheme), fd, self._tuples) is None
+        attrs = tuple(self._scheme)
+        return _conflict(_picker(attrs, fd.lhs), _picker(attrs, fd.rhs), self._tuples) is None
 
     def satisfies_all(self, sigma: FDSet) -> bool:
         """Whether the relation satisfies every dependency in ``sigma``;
@@ -246,13 +247,11 @@ def _picker(attrs: tuple, keys: Iterable[Attribute]) -> Callable:
     return itemgetter(*positions)
 
 
-def _conflict(attrs: tuple, fd: FD, rows: Iterable[tuple]) -> Optional[tuple]:
-    """The first two value tuples over ``attrs``, in ``rows`` order, that
-    agree on ``fd.lhs`` but not on ``fd.rhs``, as their images on
-    ``fd.rhs``: ``(earlier, later)``.  ``None`` when ``rows`` satisfy
-    ``fd``."""
-    lhs = _picker(attrs, fd.lhs)
-    rhs = _picker(attrs, fd.rhs)
+def _conflict(lhs: Callable, rhs: Callable, rows: Iterable[tuple]) -> Optional[tuple]:
+    """The first two value tuples of ``rows``, in their order, that agree
+    on the picker ``lhs`` but not on the picker ``rhs``, as their images
+    under ``rhs``: ``(earlier, later)``.  ``None`` when ``rows`` satisfy
+    the dependency the pickers stand for."""
     groups: dict = {}
     for values in rows:
         image = rhs(values)
@@ -441,8 +440,9 @@ def _unify(sigma: FDSet, rows: list) -> list:
     distinct tokens strictly decreases and the loop terminates.
     """
     attrs = tuple(sigma.universe)
+    pickers = [(_picker(attrs, fd.lhs), _picker(attrs, fd.rhs)) for fd in sigma]
     while True:
-        conflict = next(filter(None, (_conflict(attrs, fd, rows) for fd in sigma)), None)
+        conflict = next(filter(None, (_conflict(lhs, rhs, rows) for lhs, rhs in pickers)), None)
         if conflict is None:
             return rows
         keep, drop = next((k, d) for k, d in zip(*conflict) if k != d)

@@ -37,7 +37,7 @@ from fdkit import (
     reduced_cover,
 )
 from fdkit import fds
-from fdkit.fds import _ClosureIndex
+from fdkit.fds import _ClosureIndex, _Lattice
 
 from util import LETTERS, fd, fdset, random_fdset, random_subset
 
@@ -414,7 +414,9 @@ def _plain_subsets(x):
             yield AttributeSet(c)
 
 
-def _plain_projection(fds, x) -> list:
+def _plain_candidates(fds, x) -> list:
+    """``S -> image - S`` for every subset ``S`` of ``x`` whose image
+    grows and no smaller subset keeps, with no filter beyond that."""
     out = []
     for s in _plain_subsets(x):
         image = _plain_closure(fds, s) & x
@@ -423,7 +425,11 @@ def _plain_projection(fds, x) -> list:
         if any(_plain_closure(fds, s - {a}) & x >= image for a in s):
             continue
         out.append(FD(s, image - s))
-    return _plain_sweep(out)
+    return out
+
+
+def _plain_projection(fds, x) -> list:
+    return _plain_sweep(_plain_candidates(fds, x))
 
 
 def _random_sides(rng, pool, n):
@@ -580,3 +586,115 @@ class TestLatticeScan:
             )
             self._agree(reduce_to_schema(HittingSetInstance(ground, subsets)), rng, seen)
         assert seen["narrower"]
+
+    def test_superkey_dense_schemas_agree_with_brute_force(self):
+        # most subsets hold a superkey here, so the scan prunes most of
+        # the lattice: the closure of the empty set may cover a scheme,
+        # single attributes may be keys, a scheme may be empty, and
+        # closures may leave a scheme and come back
+        rng = random.Random(37)
+        seen = dict.fromkeys(("empty lhs", "one attribute", "narrower"), 0)
+        kinds = dict.fromkeys(("bottom covers", "single-attribute keys", "empty scheme", "passes outside"), 0)
+        for _ in range(120):
+            n = rng.randint(1, 10)
+            pool = [f"A{i}" for i in range(n)]
+            fds = [FD(_random_sides(rng, pool, n), _random_sides(rng, pool, n)) for _ in range(rng.randint(0, n))]
+            kind = rng.randrange(4)
+            if kind == 0:
+                fds.append(FD((), rng.sample(pool, rng.randint(n // 2, n))))
+            elif kind == 1:
+                fds += [FD(a, b) for a, b in zip(pool, pool[1:] + pool[:1])]
+            elif kind == 2:
+                fds.append(FD(pool[:1], pool))
+            else:
+                # a chain, so that the scheme of the even attributes
+                # below has closures that step through the odd ones
+                fds += [FD(a, b) for a, b in zip(pool, pool[1:])]
+            rng.shuffle(fds)
+            sigma = FDSet(fds, universe=pool)
+            schemes = [RelationScheme(pool, sigma), RelationScheme((), FDSet((), universe=()))]
+            if kind == 3:
+                schemes.append(RelationScheme(pool[::2], [f for f in fds if f.attributes <= set(pool[::2])]))
+            for _ in range(rng.randint(0, 2)):
+                part = rng.sample(pool, rng.randint(1, n))
+                schemes.append(RelationScheme(part, [f for f in fds if f.attributes <= set(part)]))
+            schema = DatabaseSchema(schemes)
+            closure_of_nothing = sigma.closure(())
+            for scheme in schema:
+                x = scheme.attrs
+                kinds["empty scheme"] += not x
+                kinds["bottom covers"] += bool(x) and x <= closure_of_nothing
+                kinds["single-attribute keys"] += len(x) > 1 and any(x <= sigma.closure([a]) for a in x)
+                inside = [f for f in sigma if f.attributes <= x]
+                kinds["passes outside"] += any(not sigma.closure([a]) & x <= _plain_closure(inside, [a]) for a in x)
+            self._agree(schema, rng, seen)
+        assert all(seen.values()) and all(kinds.values()), (seen, kinds)
+
+    def test_scan_yields_each_superkey_free_subset_once_in_order(self):
+        # every subset that holds no superkey is yielded once, in (size,
+        # canonical) order, with its closure and the closures of all the
+        # non-superkeys one size smaller; the only superkeys yielded are
+        # those one bit above a yielded non-superkey, which are never
+        # extended
+        rng = random.Random(41)
+        pruned = 0
+        for _ in range(300):
+            n = rng.randint(0, 9)
+            pool = [f"A{i}" for i in range(n)]
+            fds = [FD(_random_sides(rng, pool, n), _random_sides(rng, pool, n)) for _ in range(rng.randint(0, 2 * n))]
+            sigma = FDSet(fds, universe=pool)
+            lattice = _Lattice(sigma)
+            full = lattice.mask(AttributeSet(rng.sample(pool, rng.randint(0, n))))
+            positions = [i for i in range(n) if full >> i & 1]
+            by_size = [[sum(1 << i for i in c) for c in combinations(positions, k)] for k in range(len(positions) + 1)]
+            closure = {
+                s: lattice.mask(AttributeSet(_plain_closure(sigma.fds, lattice.attrs(s))))
+                for subsets in by_size
+                for s in subsets
+            }
+            superkey = {s: not full & ~image for s, image in closure.items()}
+            yielded = []
+            checked = None
+            for s, image, prev in lattice.scan(full):
+                assert image == closure[s]
+                if s:
+                    assert not superkey[s ^ 1 << (s.bit_length() - 1)], (sigma, lattice.attrs(s))
+                if prev is not checked:
+                    size = bin(s).count("1")
+                    assert prev == {t: closure[t] for t in by_size[size - 1] if not superkey[t]} if size else not prev
+                    checked = prev
+                yielded.append(s)
+            once = set(yielded)
+            assert len(once) == len(yielded)
+            assert yielded == [s for subsets in by_size for s in subsets if s in once]
+            assert {s for s in closure if not superkey[s]} <= once
+            pruned += len(closure) - len(yielded)
+        assert pruned
+
+    def test_projection_filter_keeps_the_unfiltered_sweep(self):
+        # projection drops subset-implied candidates before its sweep;
+        # the result must be what the sweep makes of every candidate
+        rng = random.Random(43)
+        cases = []
+        for _ in range(60):
+            n = rng.randint(2, 12)
+            pool = [f"A{i}" for i in range(n)]
+            fds = [FD(_random_sides(rng, pool, n), _random_sides(rng, pool, n)) for _ in range(rng.randint(0, 2 * n))]
+            cases.append(FDSet(fds, universe=pool))
+        for _ in range(25):
+            n = rng.randint(1, 4)
+            ground = tuple(f"p{i}" for i in range(n))
+            subsets = tuple(
+                tuple(rng.sample(ground, rng.randint(1, min(3, n)))) for _ in range(rng.randint(1, 3))
+            )
+            cases.append(reduce_to_schema(HittingSetInstance(ground, subsets)).global_fds())
+        widest = 0
+        for sigma in cases:
+            pool = sorted(sigma.universe)
+            for x in (AttributeSet(pool), AttributeSet(rng.sample(pool, rng.randint(0, len(pool))))):
+                candidates = _plain_candidates(sigma.fds, x)
+                got = project_fds(sigma, x)
+                assert got == FDSet(_plain_sweep(candidates), universe=x)
+                assert got == nonredundant_cover(FDSet(candidates, universe=x))
+                widest = max(widest, len(x))
+        assert widest == 12
