@@ -5,124 +5,22 @@ synthesis, backed by a finite relation-instance laboratory that serves as
 an independent brute-force oracle.
 """
 
-from .errors import (
-    CoverageError,
-    FDKitError,
-    InstanceFormatError,
-    LimitExceededError,
-    RelationFormatError,
-    ReservedNameError,
-    UniverseMismatchError,
-    UnknownAttributeError,
-)
-from .fds import FD, Attribute, AttributeSet, FDSet
-from .covers import (
-    DEFAULT_PROJECTION_LIMIT,
-    canonical_cover,
-    minimum_cover,
-    nonredundant_cover,
-    project_fds,
-    reduced_cover,
-)
-from .instances import (
-    DEFAULT_ORACLE_LIMIT,
-    Relation,
-    Row,
-    is_lossless_on,
-    join,
-    oracle_implies,
-    random_satisfying_instance,
-    two_tuple_witness,
-)
-from .design import (
-    DEFAULT_SEARCH_LIMIT,
-    DatabaseSchema,
-    NormalFormReport,
-    RelationScheme,
-    RepresentsReport,
-    Violation,
-    bcnf_decompose,
-    check_3nf,
-    check_bcnf,
-    check_represents,
-    enumerate_keys,
-    find_key,
-    is_determinant,
-    is_prime,
-    is_superkey,
-    synthesize_3nf,
-)
-from .reductions import (
-    DEFAULT_GROUND_LIMIT,
-    HittingSetInstance,
-    parse_instance,
-    reduce_to_schema,
-    render_instance,
-    solve_hitting_set,
-)
-from .dsl import (
-    Diagnostic,
-    ParseResult,
-    SchemaDocument,
-    parse_fd_text,
-    parse_schema,
-)
+from . import covers, design, dsl, errors, fds, instances, reductions
+from .errors import *
+from .fds import *
+from .covers import *
+from .instances import *
+from .design import *
+from .reductions import *
+from .dsl import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Attribute",
-    "AttributeSet",
-    "FD",
-    "FDSet",
-    "reduced_cover",
-    "nonredundant_cover",
-    "canonical_cover",
-    "minimum_cover",
-    "project_fds",
-    "Row",
-    "Relation",
-    "join",
-    "is_lossless_on",
-    "two_tuple_witness",
-    "oracle_implies",
-    "random_satisfying_instance",
-    "RelationScheme",
-    "DatabaseSchema",
-    "Violation",
-    "NormalFormReport",
-    "RepresentsReport",
-    "is_determinant",
-    "is_superkey",
-    "find_key",
-    "enumerate_keys",
-    "is_prime",
-    "check_bcnf",
-    "check_3nf",
-    "bcnf_decompose",
-    "synthesize_3nf",
-    "check_represents",
-    "HittingSetInstance",
-    "parse_instance",
-    "render_instance",
-    "solve_hitting_set",
-    "reduce_to_schema",
-    "Diagnostic",
-    "ParseResult",
-    "SchemaDocument",
-    "parse_schema",
-    "parse_fd_text",
-    "FDKitError",
-    "UnknownAttributeError",
-    "UniverseMismatchError",
-    "LimitExceededError",
-    "CoverageError",
-    "ReservedNameError",
-    "InstanceFormatError",
-    "RelationFormatError",
-    "DEFAULT_PROJECTION_LIMIT",
-    "DEFAULT_SEARCH_LIMIT",
-    "DEFAULT_ORACLE_LIMIT",
-    "DEFAULT_GROUND_LIMIT",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += fds.__all__
+__all__ += covers.__all__
+__all__ += instances.__all__
+__all__ += design.__all__
+__all__ += reductions.__all__
+__all__ += dsl.__all__

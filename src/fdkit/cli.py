@@ -27,6 +27,7 @@ from .covers import (
 from .design import (
     DEFAULT_SEARCH_LIMIT,
     DatabaseSchema,
+    RelationScheme,
     bcnf_decompose,
     check_3nf,
     check_bcnf,
@@ -214,17 +215,10 @@ def _scheme_names(db: DatabaseSchema) -> list:
 
 
 def _schema_lines(db: DatabaseSchema) -> list:
-    lines = [
-        f"scheme {name}({', '.join(scheme.attrs.names)})"
-        for name, scheme in zip(_scheme_names(db), db.schemes)
-    ]
-    seen = set()
-    for scheme in db.schemes:
-        for fd in scheme.fds:
-            if fd not in seen:
-                seen.add(fd)
-                lines.append(_fd_line(fd))
-    return lines
+    """The schema in the schema language: its schemes under their
+    output names, then each local fd once, in scheme order."""
+    named = [RelationScheme(s.attrs, s.fds, n) for n, s in zip(_scheme_names(db), db.schemes)]
+    return SchemaDocument(tuple(named), db.global_fds(), db.universe).render().splitlines()
 
 
 def _schema_payload(db: DatabaseSchema) -> dict:

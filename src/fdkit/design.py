@@ -367,32 +367,23 @@ def synthesize_3nf(
     """
     delta = nonredundant_cover(reduced_cover(canonical_cover(universal.fds)))
     key = find_key(universal, delta)
-
-    def scheme_for(attrs: AttributeSet) -> RelationScheme:
-        return RelationScheme(attrs, project_fds(delta, attrs, limit=limit))
-
     if verbatim:
-        schemes = [scheme_for(fd.lhs | fd.rhs) for fd in delta]
-        schemes.append(RelationScheme(key, FDSet((), universe=key)))
-        return DatabaseSchema(tuple(schemes))
-
-    grouped: dict = {}  # left side -> its scheme's attributes, in cover order
-    for fd in delta:
-        grouped[fd.lhs] = grouped.get(fd.lhs, fd.lhs) | fd.rhs
-    attr_sets = list(dict.fromkeys(grouped.values()))
-    key_included = key in attr_sets
-    if not key_included:
-        attr_sets.append(key)
-    surviving = [
-        s for s in attr_sets if not any(s < other for other in attr_sets)
-    ]
-    schemes = []
-    for attrs in surviving:
-        if attrs == key and not key_included:
-            schemes.append(RelationScheme(key, FDSet((), universe=key)))
-        else:
-            schemes.append(scheme_for(attrs))
-    return DatabaseSchema(tuple(schemes))
+        attr_sets = [fd.lhs | fd.rhs for fd in delta] + [key]
+    else:
+        grouped: dict = {}  # left side -> its scheme's attributes, in cover order
+        for fd in delta:
+            grouped[fd.lhs] = grouped.get(fd.lhs, fd.lhs) | fd.rhs
+        merged = list(dict.fromkeys([*grouped.values(), key]))
+        attr_sets = [s for s in merged if not any(s < other for other in merged)]
+    # no cover scheme equals the key (its left side would be a superkey
+    # inside a minimal one), so only the key scheme skips projection
+    key_fds = FDSet((), universe=key)
+    return DatabaseSchema(
+        tuple(
+            RelationScheme(s, key_fds if s == key else project_fds(delta, s, limit=limit))
+            for s in attr_sets
+        )
+    )
 
 
 def check_represents(schema: DatabaseSchema, universal: RelationScheme) -> RepresentsReport:

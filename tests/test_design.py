@@ -17,6 +17,7 @@ from fdkit import (
     UniverseMismatchError,
     UnknownAttributeError,
     bcnf_decompose,
+    canonical_cover,
     check_3nf,
     check_bcnf,
     check_represents,
@@ -26,7 +27,9 @@ from fdkit import (
     is_lossless_on,
     is_prime,
     is_superkey,
+    nonredundant_cover,
     random_satisfying_instance,
+    reduced_cover,
     synthesize_3nf,
 )
 
@@ -369,6 +372,33 @@ class TestSynthesize3nf:
                 report = check_represents(out, uni)
                 assert report.dependency_preserving
                 assert report.counterexample is None
+
+    def test_outputs_are_unchanged(self):
+        # merged and verbatim outputs, refusals included, on seeded schemas;
+        # no cover scheme ever equals the key (it would be a smaller superkey
+        # inside a minimal one), so the key scheme always carries no fds
+        rng = random.Random(43)
+        digest = hashlib.sha256()
+        refused = 0
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            uni = RelationScheme(LETTERS[:n], random_fdset(rng, LETTERS[:n], max_fds=8))
+            delta = nonredundant_cover(reduced_cover(canonical_cover(uni.fds)))
+            key = find_key(uni, delta)
+            assert all(f.lhs | f.rhs != key for f in delta)
+            limit = rng.choice((3, 16))
+            for verbatim in (False, True):
+                try:
+                    out = synthesize_3nf(uni, verbatim=verbatim, limit=limit)
+                except LimitExceededError as exc:
+                    refused += 1
+                    digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+                    continue
+                for s in out.schemes:
+                    digest.update(f"{' '.join(s.attrs.names)} | {s.fds}\n".encode())
+                digest.update(b"--\n")
+        assert refused >= 100
+        assert digest.hexdigest() == "97c7ef0803eb5e0fae262c2a229d09dfd8866dbbce702e113b579bc00f451cb5"
 
 
 class TestCheckRepresents:

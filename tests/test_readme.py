@@ -1,18 +1,22 @@
-"""The README's Python examples run and give what their comments state."""
+"""The README's examples run and give what they state: the Python blocks
+their comments, the shell session the output shown under each command."""
 
 import ast
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from fdkit.cli import main
+
 README = Path(__file__).parent.parent / "README.md"
 
 
-def _blocks():
-    return re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+def _blocks(lang="python"):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), re.M | re.S)
 
 
 def _claims(block):
@@ -65,3 +69,35 @@ def test_the_documented_examples_are_checked(tour):
     assert str(values["minimum_cover(sigma)"]) == "A -> A B C; B -> B C"
     assert values['is_lossless_on(rel, ["A B", "B C"])'] is True
     assert values['oracle_implies(sigma, FD("C", "A"))'] is False
+
+
+def _session():
+    """The shell session's commands, each with its exit-status claim
+    (``# exits N``, else 0) and the lines shown under it."""
+    (block,) = [b for b in _blocks("sh") if b.startswith("$ ")]
+    steps = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            command, _, comment = line[2:].partition(" # ")
+            status = re.search(r"exits (\d+)", comment)
+            steps.append((shlex.split(command), int(status[1]) if status else 0, []))
+        else:
+            steps[-1][2].append(line)
+    return steps
+
+
+def test_the_cli_session_prints_what_it_shows(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for args, status, shown in _session():
+        if args[0] == "printf":
+            fmt, redirect, name = args[1:]
+            assert redirect == ">" and not shown
+            (tmp_path / name).write_text(fmt.replace("\\n", "\n"))
+            continue
+        assert args[0] == "fdkit"
+        code = main(args[1:])
+        out, _ = capsys.readouterr()
+        assert (code, out.splitlines()) == (status, shown), args
+        ran.append(args[1])
+    assert ran == ["closure", "implies", "check", "synthesize"]
