@@ -3,24 +3,32 @@
 Closures, implication, covers, keys, BCNF/3NF checking, decomposition and
 synthesis, backed by a finite relation-instance laboratory that serves as
 an independent brute-force oracle.
+
+Exports are lazy: ``import fdkit`` loads no submodule, and the first use
+of a name imports the submodules in order up to the one that exports it.
 """
 
-from . import covers, design, dsl, errors, fds, instances, reductions
-from .errors import *
-from .fds import *
-from .covers import *
-from .instances import *
-from .design import *
-from .reductions import *
-from .dsl import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"]
-__all__ += errors.__all__
-__all__ += fds.__all__
-__all__ += covers.__all__
-__all__ += instances.__all__
-__all__ += design.__all__
-__all__ += reductions.__all__
-__all__ += dsl.__all__
+_MODULES = ("errors", "fds", "covers", "instances", "design", "reductions", "dsl")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    exports = ["__version__"]
+    for module in map(__getattr__, _MODULES):
+        exports += module.__all__
+        if name in module.__all__:
+            globals()[name] = value = getattr(module, name)
+            return value
+    if name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = exports
+    return exports
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULES, *__getattr__("__all__")})

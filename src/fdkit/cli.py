@@ -18,34 +18,14 @@ import argparse
 import json
 import os
 import sys
-from .covers import (
-    canonical_cover,
-    minimum_cover,
-    nonredundant_cover,
-    reduced_cover,
-)
-from .design import (
-    DEFAULT_SEARCH_LIMIT,
-    DatabaseSchema,
-    RelationScheme,
-    bcnf_decompose,
-    check_3nf,
-    check_bcnf,
-    check_represents,
-    enumerate_keys,
-    find_key,
-    synthesize_3nf,
-)
 from .dsl import SchemaDocument, _fd_line, parse_fd_text, parse_schema
 from .errors import FDKitError, LimitExceededError
-from .fds import FD, AttributeSet
-from .instances import DEFAULT_ORACLE_LIMIT, oracle_implies
-from .reductions import (
-    DEFAULT_GROUND_LIMIT,
-    parse_instance,
-    reduce_to_schema,
-    solve_hitting_set,
-)
+from .fds import FD, AttributeSet, DatabaseSchema, RelationScheme
+
+# Each subcommand imports the modules it needs beyond these when it runs,
+# since each question is a fresh process that pays for every import:
+# closure, implies and equivalent load none of design, covers, instances
+# or reductions.
 
 __all__ = ["main", "entry"]
 
@@ -102,10 +82,10 @@ def build_parser() -> _ArgumentParser:
     p.set_defaults(func=_cmd_equivalent, command_name="equivalent")
 
     for name, rewrite, blurb in (
-        ("mincover", minimum_cover, "print a minimum cover"),
-        ("nonredundant", nonredundant_cover, "print a non-redundant cover"),
-        ("reduce-fds", reduced_cover, "print a cover with reduced left sides"),
-        ("canonical", canonical_cover, "print a canonical (singleton right side) cover"),
+        ("mincover", "minimum_cover", "print a minimum cover"),
+        ("nonredundant", "nonredundant_cover", "print a non-redundant cover"),
+        ("reduce-fds", "reduced_cover", "print a cover with reduced left sides"),
+        ("canonical", "canonical_cover", "print a canonical (singleton right side) cover"),
     ):
         p = sub.add_parser(name, parents=[common], help=blurb)
         p.set_defaults(func=_cmd_cover, command_name=name, rewrite=rewrite)
@@ -261,6 +241,8 @@ def _cmd_implies(ns) -> int:
     if ns.command_name == "implies":
         implied = doc.fds.implies(fd)
     else:
+        from .instances import DEFAULT_ORACLE_LIMIT, oracle_implies
+
         implied = oracle_implies(doc.fds, fd, limit=_resolve_limit(ns, DEFAULT_ORACLE_LIMIT))
     payload = {"fd": _fd_dict(fd), "implied": implied}
     return _finish(ns, 0 if implied else 1, ["true" if implied else "false"], payload)
@@ -275,13 +257,17 @@ def _cmd_equivalent(ns) -> int:
 
 
 def _cmd_cover(ns) -> int:
+    from . import covers
+
     doc = _load_document(ns.schema)
-    result = ns.rewrite(doc.fds)
+    result = getattr(covers, ns.rewrite)(doc.fds)
     payload = {"fds": [_fd_dict(fd) for fd in result]}
     return _finish(ns, 0, [_fd_line(fd) for fd in result], payload)
 
 
 def _cmd_keys(ns) -> int:
+    from .design import DEFAULT_SEARCH_LIMIT, enumerate_keys, find_key
+
     doc = _load_document(ns.schema)
     if ns.scheme is not None:
         scheme = doc.scheme_named(ns.scheme)
@@ -314,6 +300,8 @@ def _check_report_lines(db: DatabaseSchema, report) -> list:
 
 
 def _cmd_check(ns) -> int:
+    from .design import DEFAULT_SEARCH_LIMIT, check_3nf, check_bcnf
+
     doc = _load_document(ns.schema)
     db = doc.database_schema()
     limit = _resolve_limit(ns, DEFAULT_SEARCH_LIMIT)
@@ -323,21 +311,31 @@ def _cmd_check(ns) -> int:
     return _finish(ns, 0 if report.satisfied else 1, _check_report_lines(db, report), payload)
 
 
+def _represents(schema: DatabaseSchema, universal: RelationScheme) -> tuple:
+    """The :func:`check_represents` report and its two verdict lines."""
+    from .design import check_represents
+
+    rep = check_represents(schema, universal)
+    preserving = str(rep.dependency_preserving).lower()
+    return rep, [f"dependency preserving: {preserving}", f"lossless: {rep.lossless_verdict}"]
+
+
 def _finish_schema(ns, out: DatabaseSchema, universal) -> int:
     """Print a produced schema, with the representation footer when it
     covers the universal scheme's attributes."""
     lines = _schema_lines(out)
     payload = _schema_payload(out)
     if out.universe == universal.attrs:
-        rep = check_represents(out, universal)
+        rep, verdicts = _represents(out, universal)
         payload["dependency_preserving"] = rep.dependency_preserving
         payload["lossless"] = rep.lossless_verdict
-        lines.append(f"# dependency preserving: {str(rep.dependency_preserving).lower()}")
-        lines.append(f"# lossless: {rep.lossless_verdict}")
+        lines += ["# " + line for line in verdicts]
     return _finish(ns, 0, lines, payload)
 
 
 def _cmd_decompose(ns) -> int:
+    from .design import DEFAULT_SEARCH_LIMIT, bcnf_decompose
+
     if not ns.bcnf:
         raise UsageError("decompose: pass --bcnf (the only supported target)")
     doc = _load_document(ns.schema)
@@ -348,6 +346,8 @@ def _cmd_decompose(ns) -> int:
 
 
 def _cmd_synthesize(ns) -> int:
+    from .design import DEFAULT_SEARCH_LIMIT, synthesize_3nf
+
     if not ns.nf3:
         raise UsageError("synthesize: pass --3nf (the only supported target)")
     doc = _load_document(ns.schema)
@@ -360,18 +360,15 @@ def _cmd_synthesize(ns) -> int:
 def _cmd_represents(ns) -> int:
     doc = _load_document(ns.schema)
     universal_doc = _load_document(ns.universal)
-    rep = check_represents(doc.database_schema(), universal_doc.universal_scheme())
-    payload = rep.to_dict()
-    lines = [
-        f"dependency preserving: {str(rep.dependency_preserving).lower()}",
-        f"lossless: {rep.lossless_verdict}",
-    ]
+    rep, lines = _represents(doc.database_schema(), universal_doc.universal_scheme())
     if rep.counterexample is not None:
         lines.append(rep.counterexample.to_csv().rstrip("\n"))
-    return _finish(ns, 0 if rep.ok else 1, lines, payload)
+    return _finish(ns, 0 if rep.ok else 1, lines, rep.to_dict())
 
 
 def _cmd_hitting_set(ns) -> int:
+    from .reductions import DEFAULT_GROUND_LIMIT, parse_instance, solve_hitting_set
+
     instance = parse_instance(_read_source(ns.instance))
     limit = _resolve_limit(ns, DEFAULT_GROUND_LIMIT)
     witness = solve_hitting_set(instance, limit=limit)
@@ -381,6 +378,8 @@ def _cmd_hitting_set(ns) -> int:
 
 
 def _cmd_reduce(ns) -> int:
+    from .reductions import parse_instance, reduce_to_schema
+
     instance = parse_instance(_read_source(ns.instance))
     schema = reduce_to_schema(instance)
     return _finish(ns, 0, _schema_lines(schema), _schema_payload(schema))

@@ -9,17 +9,15 @@ fixed canonical order so reported witnesses are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .covers import canonical_cover, nonredundant_cover, project_fds, reduced_cover
 from .errors import UniverseMismatchError, check_limit
-from .fds import Attribute, AttributeSet, AttrsLike, FDSet, _attrset, _free, _Lattice, _require_within
+from .fds import Attribute, AttributeSet, AttrsLike, DatabaseSchema, FDSet, RelationScheme
+from .fds import _free, _Lattice, _Record, _require_within
 from .instances import Relation, _chase, is_lossless_on
 
 __all__ = [
-    "RelationScheme",
-    "DatabaseSchema",
     "Violation",
     "NormalFormReport",
     "RepresentsReport",
@@ -39,64 +37,7 @@ __all__ = [
 DEFAULT_SEARCH_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class RelationScheme:
-    """An attribute set together with its local dependencies.
-
-    The local dependency set's universe is normalised to the scheme's
-    attributes; a dependency mentioning anything else is rejected.
-    """
-
-    attrs: AttributeSet
-    fds: FDSet
-    name: Optional[str] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        attrs = AttributeSet(self.attrs)
-        object.__setattr__(self, "attrs", attrs)
-        if not (isinstance(self.fds, FDSet) and self.fds.universe == attrs):
-            object.__setattr__(self, "fds", FDSet(self.fds, universe=attrs))
-
-    def __str__(self) -> str:
-        label = self.name or "scheme"
-        return f"{label}({', '.join(self.attrs.names)})"
-
-
-@dataclass(frozen=True)
-class DatabaseSchema:
-    """An ordered collection of relation schemes.
-
-    The universe is the union of the schemes' attributes, and the global
-    dependency set is the union of the local ones over that universe.
-    """
-
-    schemes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        for s in self.schemes:
-            if not isinstance(s, RelationScheme):
-                raise TypeError(f"expected RelationScheme, got {type(s).__name__}")
-
-    @property
-    def universe(self) -> AttributeSet:
-        return _attrset(frozenset().union(*(s.attrs for s in self.schemes)))
-
-    def global_fds(self) -> FDSet:
-        fds = []
-        for s in self.schemes:
-            fds.extend(s.fds)
-        return FDSet(fds, universe=self.universe)
-
-    def __iter__(self):
-        return iter(self.schemes)
-
-    def __len__(self) -> int:
-        return len(self.schemes)
-
-
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One replayable normal-form witness.
 
     ``determinant`` is the offending attribute set of the named scheme and
@@ -118,8 +59,7 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class NormalFormReport:
+class NormalFormReport(_Record):
     """Outcome of a normal-form check; ``violates`` implies at least one
     witness, and each witness can be re-checked independently."""
 
@@ -139,8 +79,7 @@ class NormalFormReport:
         }
 
 
-@dataclass(frozen=True)
-class RepresentsReport:
+class RepresentsReport(_Record):
     """Outcome of comparing a schema against a universal scheme.
 
     Both verdicts are exact.  ``lossless_verdict`` is

@@ -22,12 +22,10 @@ set only when there were no errors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .design import DatabaseSchema, RelationScheme
-from .fds import _NAME, _SPLIT, FD, Attribute, AttributeSet, FDSet, _require_within, _split
-from .reductions import RESERVED_C, RESERVED_D
+from .fds import FD, Attribute, AttributeSet, DatabaseSchema, FDSet, RelationScheme, _Record
+from .fds import _NAME, _SPLIT, _require_within, _split
 
 __all__ = [
     "Diagnostic",
@@ -35,17 +33,21 @@ __all__ = [
     "SchemaDocument",
     "parse_schema",
     "parse_fd_text",
+    "RESERVED_C",
+    "RESERVED_D",
     "RESERVED_NAMES",
 ]
 
+# the attributes that generated schemas add (see reductions.reduce_to_schema)
+RESERVED_C = Attribute("__C")
+RESERVED_D = Attribute("__D")
 RESERVED_NAMES = frozenset({RESERVED_C.name, RESERVED_D.name})
 
 _SCHEME_LINE = re.compile(r"scheme\s+([^(\s]+)\s*\((.*)\)\s*\Z")
 _ARROW = re.compile(r"->|→")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(_Record):
     """One parser message with a stable code and a source position."""
 
     severity: str  # "error" or "warning"
@@ -58,8 +60,7 @@ class Diagnostic:
         return f"{self.line}:{self.column}: {self.severity}[{self.code}] {self.message}"
 
 
-@dataclass(frozen=True)
-class SchemaDocument:
+class SchemaDocument(_Record):
     """A parsed schema file: named schemes, the universal dependency set,
     and the universe they live in.
 
@@ -72,9 +73,10 @@ class SchemaDocument:
     fds: FDSet
     universe: AttributeSet
     explicit_universe: bool = False
-    scheme_lines: tuple = field(default=(), compare=False)
-    fd_lines: tuple = field(default=(), compare=False)
-    universe_line: Optional[int] = field(default=None, compare=False)
+    scheme_lines: tuple = ()
+    fd_lines: tuple = ()
+    universe_line: Optional[int] = None
+    _compared = 4
 
     def scheme_named(self, name: str) -> Optional[RelationScheme]:
         for scheme in self.schemes:
@@ -102,8 +104,7 @@ class SchemaDocument:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(_Record):
     document: Optional[SchemaDocument]
     diagnostics: tuple
 

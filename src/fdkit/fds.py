@@ -1,4 +1,4 @@
-"""Attributes, attribute sets, and functional dependencies.
+"""Attributes, attribute sets, functional dependencies, and relation schemes.
 
 A functional dependency ``X -> Y`` states that any two rows agreeing on
 the attributes ``X`` also agree on the attributes ``Y``.  :class:`FDSet`
@@ -9,18 +9,20 @@ attribute-set closure, implication, equivalence, and redundancy.
 All values here are immutable after construction and every operation is a
 pure function of its inputs, so everything is safe to share across
 threads.  (An :class:`FDSet` fills a private closure cache on first use,
-and never changes it afterwards.)
+and never changes it afterwards.)  A relation scheme pairs an attribute
+set with its local dependencies, and a database schema lists schemes.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
-from typing import AbstractSet, Collection, Iterable, Iterator, Sequence, Union
+from operator import attrgetter
+from typing import AbstractSet, Collection, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import UnknownAttributeError, UniverseMismatchError
 
-__all__ = ["Attribute", "AttributeSet", "FD", "FDSet", "AttrsLike"]
+__all__ = ["Attribute", "AttributeSet", "FD", "FDSet", "AttrsLike", "RelationScheme", "DatabaseSchema"]
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _SPLIT = re.compile(r"[\s,]+")
@@ -573,3 +575,115 @@ class FDSet:
         """Whether some member is already implied by the others."""
         close = self._closure_index().close
         return any(close(fd.lhs, i, fd.rhs) for i, fd in enumerate(self._fds))
+
+
+class _Record:
+    """A frozen record: the value classes of fdkit, without the cost of
+    importing and running ``dataclasses`` when a process starts.
+
+    A subclass annotates its fields in order, gives trailing ones a
+    default by assignment, and may set ``_compared`` to the number of
+    leading fields that equality and hashing read (all of them when
+    unset); a subclass that annotates nothing keeps its parent's fields.
+    A record equals only a record of its own class.
+    ``__post_init__`` runs once the fields are bound and may rebind them
+    with ``object.__setattr__``; any other assignment or deletion raises
+    ``AttributeError``, and arguments that do not name each required
+    field once, and no other field twice, raise ``TypeError``.  The
+    ``repr`` lists every field, and a record pickles and copies through
+    its ``__dict__``, where a field left at its default is not stored.
+    """
+
+    _compared = None
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(cls.__annotations__) or cls._fields
+        cls._required = sum(not hasattr(cls, f) for f in fields)
+        cls._key = attrgetter(*fields[: cls._compared])
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or not self._required <= len(args) <= len(fields):
+            named = {*fields[: len(args)], *kwargs}
+            if len(named) < len(args) + len(kwargs) or not set(fields[: self._required]) <= named <= set(fields):
+                raise TypeError(f"{type(self).__name__}() takes {fields}, the first {self._required} required")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        for name, value in kwargs.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._key(self) == self._key(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class RelationScheme(_Record):
+    """An attribute set together with its local dependencies.
+
+    The local dependency set's universe is normalised to the scheme's
+    attributes; a dependency mentioning anything else is rejected.  The
+    name does not take part in equality.
+    """
+
+    attrs: AttributeSet
+    fds: FDSet
+    name: Optional[str] = None
+    _compared = 2
+
+    def __init__(self, attrs: AttrsLike, fds: Iterable[FD], name: Optional[str] = None):
+        # its own signature, since the lattice searches build schemes in
+        # loops: the generic one costs about 1 us more per build
+        attrs = AttributeSet(attrs)
+        if not (isinstance(fds, FDSet) and fds.universe == attrs):
+            fds = FDSet(fds, universe=attrs)
+        object.__setattr__(self, "attrs", attrs)
+        object.__setattr__(self, "fds", fds)
+        object.__setattr__(self, "name", name)
+
+    def __str__(self) -> str:
+        label = self.name or "scheme"
+        return f"{label}({', '.join(self.attrs.names)})"
+
+
+class DatabaseSchema(_Record):
+    """An ordered collection of relation schemes.
+
+    The universe is the union of the schemes' attributes, and the global
+    dependency set is the union of the local ones over that universe.
+    """
+
+    schemes: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "schemes", tuple(self.schemes))
+        for s in self.schemes:
+            if not isinstance(s, RelationScheme):
+                raise TypeError(f"expected RelationScheme, got {type(s).__name__}")
+
+    @property
+    def universe(self) -> AttributeSet:
+        return _attrset(frozenset().union(*(s.attrs for s in self.schemes)))
+
+    def global_fds(self) -> FDSet:
+        return FDSet([fd for s in self.schemes for fd in s.fds], universe=self.universe)
+
+    def __iter__(self):
+        return iter(self.schemes)
+
+    def __len__(self) -> int:
+        return len(self.schemes)

@@ -10,12 +10,11 @@ exhaustive oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .design import DatabaseSchema, RelationScheme
+from .dsl import RESERVED_C, RESERVED_D
 from .errors import InstanceFormatError, ReservedNameError, check_limit
-from .fds import FD, Attribute, AttributeSet, FDSet
+from .fds import FD, Attribute, AttributeSet, DatabaseSchema, FDSet, RelationScheme, _Record
 
 __all__ = [
     "HittingSetInstance",
@@ -23,19 +22,13 @@ __all__ = [
     "render_instance",
     "solve_hitting_set",
     "reduce_to_schema",
-    "RESERVED_C",
-    "RESERVED_D",
     "DEFAULT_GROUND_LIMIT",
 ]
-
-RESERVED_C = Attribute("__C")
-RESERVED_D = Attribute("__D")
 
 DEFAULT_GROUND_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class HittingSetInstance:
+class HittingSetInstance(_Record):
     """A ground set of element symbols and a family of subsets of it."""
 
     ground: tuple

@@ -19,7 +19,7 @@ from fdkit import (
     solve_hitting_set,
     parse_instance,
 )
-from fdkit.cli import main
+from fdkit.cli import build_parser, main
 
 CHAIN = "fd B -> C\nfd A -> B\n"
 STUDENT = "scheme Student(STUDENT, DEPARTMENT, SUPERVISOR)\nfd DEPARTMENT -> SUPERVISOR\n"
@@ -327,3 +327,49 @@ def test_module_runs_as_a_script(files):
 def test_package_runs_as_a_script(files):
     proc = _run_module("fdkit", "closure", "--of", "A", "--schema", files["chain.fd"])
     assert (proc.returncode, proc.stdout.strip()) == (0, "A B C")
+
+
+# Each subcommand once, in its own process: a handler that uses a module
+# it never imports passes in-process when another test imported it first,
+# and fails here.  (argv, exit status, keys of the JSON result)
+SUBCOMMANDS = [
+    (["closure", "--of", "A", "--schema", "chain.fd"], 0, {"of", "closure"}),
+    (["implies", "A -> C", "--schema", "chain.fd"], 0, {"fd", "implied"}),
+    (["equivalent", "equiv.fd", "--schema", "chain.fd"], 0, {"equivalent"}),
+    (["mincover", "--schema", "chain.fd"], 0, {"fds"}),
+    (["nonredundant", "--schema", "equiv.fd"], 0, {"fds"}),
+    (["reduce-fds", "--schema", "chain.fd"], 0, {"fds"}),
+    (["canonical", "--schema", "abcde.fd"], 0, {"fds"}),
+    (["keys", "--schema", "chain.fd"], 0, {"scheme", "key"}),
+    (["check", "--nf", "bcnf", "--schema", "student.fd"], 1, {"form", "verdict", "witnesses", "schemes"}),
+    (["decompose", "--bcnf", "--schema", "abcde.fd"], 0,
+     {"universe", "schemes", "dependency_preserving", "lossless"}),
+    (["synthesize", "--3nf", "--schema", "chain.fd"], 0,
+     {"universe", "schemes", "dependency_preserving", "lossless"}),
+    (["represents", "chain.fd", "--schema", "bcnf_ok.fd"], 0,
+     {"dependency_preserving", "lossless", "counterexample"}),
+    (["hitting-set", "hittable.hs"], 0, {"found", "witness"}),
+    (["reduce", "hittable.hs"], 0, {"universe", "schemes"}),
+    (["oracle", "implies", "C -> A", "--schema", "chain.fd"], 1, {"fd", "implied"}),
+]
+
+
+def _command(argv) -> str:
+    return "oracle implies" if argv[0] == "oracle" else argv[0]
+
+
+def test_every_subcommand_is_run_once():
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    names = [_command(argv) for argv, _, _ in SUBCOMMANDS]
+    assert sorted(names) == sorted(set(commands) - {"oracle"} | {"oracle implies"})
+
+
+@pytest.mark.parametrize(
+    "argv, status, keys", SUBCOMMANDS, ids=[_command(argv) for argv, _, _ in SUBCOMMANDS]
+)
+def test_subcommand_in_a_fresh_process(files, argv, status, keys):
+    proc = _run_module("fdkit", *[files.get(arg, arg) for arg in argv], "--json")
+    assert proc.returncode == status, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["command"], report["exit_status"]) == (_command(argv), status)
+    assert set(report["result"]) == keys

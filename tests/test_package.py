@@ -22,6 +22,8 @@ PUBLIC = [
     "AttributeSet",
     "FD",
     "FDSet",
+    "RelationScheme",
+    "DatabaseSchema",
     # covers
     "reduced_cover",
     "nonredundant_cover",
@@ -39,8 +41,6 @@ PUBLIC = [
     "random_satisfying_instance",
     "DEFAULT_ORACLE_LIMIT",
     # design
-    "RelationScheme",
-    "DatabaseSchema",
     "Violation",
     "NormalFormReport",
     "RepresentsReport",
@@ -71,7 +71,7 @@ PUBLIC = [
 ]
 
 # public in their modules, and re-exported since the package list became
-# the union of the modules' lists
+# the union of the modules' lists: AttrsLike from fds, RESERVED_* from dsl
 REEXPORTED = ["AttrsLike", "RESERVED_C", "RESERVED_D", "RESERVED_NAMES"]
 
 
@@ -104,3 +104,15 @@ def test_the_submodules_stay_package_attributes():
     for module in MODULES:
         assert getattr(fdkit, module.__name__.rpartition(".")[2]) is module
     assert design.project_fds is covers.project_fds
+    # names a module imports from another resolve on both
+    assert design.RelationScheme is fds.RelationScheme
+    assert design.DatabaseSchema is fds.DatabaseSchema
+    assert reductions.RESERVED_C is dsl.RESERVED_C and reductions.RESERVED_D is dsl.RESERVED_D
+
+
+def test_dir_lists_the_exports_and_the_submodules():
+    assert set(fdkit.__all__) | {m.__name__.rpartition(".")[2] for m in MODULES} <= set(dir(fdkit))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    assert not hasattr(fdkit, "no_such_name")
