@@ -13,20 +13,22 @@ import importlib
 __version__ = "0.1.0"
 
 _MODULES = ("errors", "fds", "covers", "instances", "design", "reductions", "dsl")
+_homes = {}
 
 
 def __getattr__(name: str):
+    # an export is read from its home module on every access, never stored
+    # here, so a name patched and restored there reads the same here
     if name in _MODULES:
         return importlib.import_module(f"{__name__}.{name}")
-    exports = ["__version__"]
-    for module in map(__getattr__, _MODULES):
-        exports += module.__all__
-        if name in module.__all__:
-            globals()[name] = value = getattr(module, name)
-            return value
+    modules = map(__getattr__, _MODULES)
+    while name not in _homes and (module := next(modules, None)):
+        _homes.update(dict.fromkeys(module.__all__, module))
+    if name in _homes:
+        return getattr(_homes[name], name)
     if name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = exports
+    globals()[name] = exports = ["__version__", *_homes]
     return exports
 
 

@@ -645,15 +645,11 @@ class RelationScheme(_Record):
     name: Optional[str] = None
     _compared = 2
 
-    def __init__(self, attrs: AttrsLike, fds: Iterable[FD], name: Optional[str] = None):
-        # its own signature, since the lattice searches build schemes in
-        # loops: the generic one costs about 1 us more per build
-        attrs = AttributeSet(attrs)
-        if not (isinstance(fds, FDSet) and fds.universe == attrs):
-            fds = FDSet(fds, universe=attrs)
+    def __post_init__(self):
+        attrs = AttributeSet(self.attrs)
         object.__setattr__(self, "attrs", attrs)
-        object.__setattr__(self, "fds", fds)
-        object.__setattr__(self, "name", name)
+        if not (isinstance(self.fds, FDSet) and self.fds.universe == attrs):
+            object.__setattr__(self, "fds", FDSet(self.fds, universe=attrs))
 
     def __str__(self) -> str:
         label = self.name or "scheme"

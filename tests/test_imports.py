@@ -57,3 +57,16 @@ def test_closure_leaves_design_unloaded_and_check_loads_it(tmp_path):
     assert "fdkit.fds" in loaded and not loaded & set(HEAVY)
     loaded = loaded_by(run.format(argv=["check", "--nf", "bcnf", "--schema", "chain.fd"]), tmp_path)
     assert "fdkit.design" in loaded
+
+
+def test_a_name_reads_its_home_module_on_every_access():
+    # a name first read through the package while its home module holds a
+    # stand-in (as a tracer installs) reads the original once it is put back
+    loaded_by(
+        "import fdkit.design as home\n"
+        "original, home.synthesize_3nf = home.synthesize_3nf, len\n"
+        "import fdkit\n"
+        "assert fdkit.synthesize_3nf is len\n"
+        "home.synthesize_3nf = original\n"
+        "assert fdkit.synthesize_3nf is original"
+    )
