@@ -142,16 +142,18 @@ def _fail(message: str) -> None:
     print(f"fdkit: {message}", file=sys.stderr)
 
 
-def _resolve_limit(ns, default: int) -> int:
+def _limit(ns) -> dict:
+    """``{"limit": n}`` when ``--limit`` or the environment sets one, else
+    ``{}``, which leaves each search its own default."""
     if ns.limit is not None:
-        return ns.limit
+        return {"limit": ns.limit}
     raw = os.environ.get(LIMIT_ENV)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise UsageError(f"invalid {LIMIT_ENV} value: {raw!r}")
-    return default
+    if raw is None:
+        return {}
+    try:
+        return {"limit": int(raw)}
+    except ValueError:
+        raise UsageError(f"invalid {LIMIT_ENV} value: {raw!r}")
 
 
 def _read_source(path: str) -> str:
@@ -241,9 +243,9 @@ def _cmd_implies(ns) -> int:
     if ns.command_name == "implies":
         implied = doc.fds.implies(fd)
     else:
-        from .instances import DEFAULT_ORACLE_LIMIT, oracle_implies
+        from .instances import oracle_implies
 
-        implied = oracle_implies(doc.fds, fd, limit=_resolve_limit(ns, DEFAULT_ORACLE_LIMIT))
+        implied = oracle_implies(doc.fds, fd, **_limit(ns))
     payload = {"fd": _fd_dict(fd), "implied": implied}
     return _finish(ns, 0 if implied else 1, ["true" if implied else "false"], payload)
 
@@ -266,7 +268,7 @@ def _cmd_cover(ns) -> int:
 
 
 def _cmd_keys(ns) -> int:
-    from .design import DEFAULT_SEARCH_LIMIT, enumerate_keys, find_key
+    from .design import enumerate_keys, find_key
 
     doc = _load_document(ns.schema)
     if ns.scheme is not None:
@@ -275,10 +277,10 @@ def _cmd_keys(ns) -> int:
             raise UsageError(f"keys: no scheme named {ns.scheme!r}")
     else:
         scheme = doc.universal_scheme()
-    limit = _resolve_limit(ns, DEFAULT_SEARCH_LIMIT)
+    limit = _limit(ns)  # an invalid FDKIT_LIMIT is refused without --all too
     if ns.all:
         keys = sorted(
-            enumerate_keys(scheme, doc.fds, limit=limit),
+            enumerate_keys(scheme, doc.fds, **limit),
             key=lambda k: (len(k), k.names),
         )
         payload = {"scheme": list(scheme.attrs.names), "keys": [list(k.names) for k in keys]}
@@ -300,12 +302,11 @@ def _check_report_lines(db: DatabaseSchema, report) -> list:
 
 
 def _cmd_check(ns) -> int:
-    from .design import DEFAULT_SEARCH_LIMIT, check_3nf, check_bcnf
+    from .design import check_3nf, check_bcnf
 
     doc = _load_document(ns.schema)
     db = doc.database_schema()
-    limit = _resolve_limit(ns, DEFAULT_SEARCH_LIMIT)
-    report = check_bcnf(db, limit=limit) if ns.nf == "bcnf" else check_3nf(db, limit=limit)
+    report = (check_bcnf if ns.nf == "bcnf" else check_3nf)(db, **_limit(ns))
     payload = report.to_dict()
     payload["schemes"] = [list(s.attrs.names) for s in db.schemes]
     return _finish(ns, 0 if report.satisfied else 1, _check_report_lines(db, report), payload)
@@ -334,26 +335,24 @@ def _finish_schema(ns, out: DatabaseSchema, universal) -> int:
 
 
 def _cmd_decompose(ns) -> int:
-    from .design import DEFAULT_SEARCH_LIMIT, bcnf_decompose
+    from .design import bcnf_decompose
 
     if not ns.bcnf:
         raise UsageError("decompose: pass --bcnf (the only supported target)")
     doc = _load_document(ns.schema)
     db = doc.database_schema()
-    limit = _resolve_limit(ns, DEFAULT_SEARCH_LIMIT)
-    out = bcnf_decompose(db, limit=limit)
+    out = bcnf_decompose(db, **_limit(ns))
     return _finish_schema(ns, out, doc.universal_scheme())
 
 
 def _cmd_synthesize(ns) -> int:
-    from .design import DEFAULT_SEARCH_LIMIT, synthesize_3nf
+    from .design import synthesize_3nf
 
     if not ns.nf3:
         raise UsageError("synthesize: pass --3nf (the only supported target)")
     doc = _load_document(ns.schema)
-    limit = _resolve_limit(ns, DEFAULT_SEARCH_LIMIT)
     universal = doc.universal_scheme()
-    out = synthesize_3nf(universal, verbatim=ns.verbatim, limit=limit)
+    out = synthesize_3nf(universal, verbatim=ns.verbatim, **_limit(ns))
     return _finish_schema(ns, out, universal)
 
 
@@ -367,11 +366,10 @@ def _cmd_represents(ns) -> int:
 
 
 def _cmd_hitting_set(ns) -> int:
-    from .reductions import DEFAULT_GROUND_LIMIT, parse_instance, solve_hitting_set
+    from .reductions import parse_instance, solve_hitting_set
 
     instance = parse_instance(_read_source(ns.instance))
-    limit = _resolve_limit(ns, DEFAULT_GROUND_LIMIT)
-    witness = solve_hitting_set(instance, limit=limit)
+    witness = solve_hitting_set(instance, **_limit(ns))
     found = witness is not None
     payload = {"found": found, "witness": list(witness.names) if found else None}
     return _finish(ns, 0 if found else 1, [str(witness) if found else "none"], payload)

@@ -16,7 +16,6 @@ from .fds import (
     FDSet,
     _ClosureIndex,
     _Lattice,
-    _free,
     _require_within,
 )
 
@@ -37,18 +36,22 @@ def reduced_cover(sigma: FDSet) -> FDSet:
 
     For each dependency ``X -> Y`` and each ``A`` of ``X`` in canonical
     order, ``A`` is dropped whenever the working set still implies
-    ``(X - A) -> Y``.  Later dependencies are tested against the already
-    rewritten set.
+    ``(X - A) -> Y``.  Each trial is tested against the input itself,
+    which gives the same answers as the rewritten set: a step replaces
+    ``X -> Y`` only when the set implies ``(X - A) -> Y``, which implies
+    ``X -> Y`` back, so every rewritten set is equivalent to the input
+    and has its closures.
     """
-    index = _ClosureIndex(list(sigma))
-    for i, fd in enumerate(sigma):
+    index = _ClosureIndex(sigma.fds)
+    out = []
+    for fd in sigma:
         lhs = fd.lhs
         for a in tuple(lhs):
             trial = lhs - AttributeSet([a])
             if index.close(trial, target=fd.rhs):
                 lhs = trial
-                index.shrink(i, lhs)
-    return FDSet(index.fds, universe=sigma.universe)
+        out.append(fd if lhs is fd.lhs else FD(lhs, fd.rhs))
+    return FDSet(out, universe=sigma.universe)
 
 
 def nonredundant_cover(sigma: FDSet) -> FDSet:
@@ -104,25 +107,27 @@ def project_fds(
     ``closure(S) & x``, then compresses the collected set with
     :func:`nonredundant_cover`.  The result's universe is ``x``.
 
-    Three kinds of left side are skipped before that sweep.  A proper
+    Two kinds of left side are skipped before that sweep.  A proper
     superset of a superkey of ``x`` is never closed at all (see
-    :meth:`~fdkit.fds._Lattice.scan`).  A left side with a removable
-    attribute, one in the closure of the rest of ``S``, carries the image
-    of the smaller subset.  And a free ``S`` is skipped when its proper
-    subsets already give its image: ``img(S)`` lies inside ``S`` and the
-    images of the ``S - a``.  That test reads the closures the scan holds.
+    :meth:`~fdkit.fds._Lattice.scan`).  And ``S`` is skipped when its
+    proper subsets already give its image: ``img(S)`` lies inside ``S``
+    and the images of the ``S - a``, read from the closures the scan
+    holds, where a missing ``S - a`` is a superkey and its image all of
+    ``x``.  Every ``S`` that is not free, with an ``a`` in the closure of
+    the rest, is skipped so, since ``S - a`` has the closure of ``S``.
 
-    Skipping leaves the greedy sweep's output unchanged.  The sweep would
-    drop such an ``S``: closing ``S - a`` never fires ``S``, which is
-    free, so the other candidates give each ``img(S - a)`` and with them
-    ``img(S)``.  Nor does ``S`` decide the fate of another candidate
-    ``T -> ...``.  ``S`` can fire in the closure of ``T`` only inside
-    ``img(T)``, and then ``T`` lies in no ``img(S - a)``, or ``S`` would
-    lie there too and not be free.  So the candidate under test never
-    fires while an ``S - a`` is closed, the others give each
-    ``img(S - a)`` without ``S`` or any other skipped candidate (by
-    induction on the size of the image, which shrinks from ``S`` to
-    ``S - a``), and ``S`` adds nothing.
+    Skipping leaves the greedy sweep's output unchanged.  An ``S`` that
+    is not free carries the image of that ``S - a``.  The sweep would
+    drop a free ``S`` that the test skips: closing ``S - a`` never fires
+    ``S``, which is free, so the other candidates give each
+    ``img(S - a)`` and with them ``img(S)``.  Nor does ``S`` decide the
+    fate of another candidate ``T -> ...``.  ``S`` can fire in the
+    closure of ``T`` only inside ``img(T)``, and then ``T`` lies in no
+    ``img(S - a)``, or ``S`` would lie there too and not be free.  So the
+    candidate under test never fires while an ``S - a`` is closed, the
+    others give each ``img(S - a)`` without ``S`` or any other skipped
+    candidate (by induction on the size of the image, which shrinks from
+    ``S`` to ``S - a``), and ``S`` adds nothing.
 
     Exponential in ``len(x)`` by design; inputs beyond ``limit``
     attributes are refused with :class:`LimitExceededError`.
@@ -135,13 +140,13 @@ def project_fds(
     out = []
     for s, closed, prev in lattice.scan(full):
         image = closed & full
-        if not image & ~s or not _free(s, prev):
+        if not image & ~s:
             continue
         given = s
         rest = s
-        while rest:
+        while rest and image & ~given:
             b = rest & -rest
-            given |= prev[s ^ b]
+            given |= prev.get(s ^ b, full)
             rest ^= b
         if image & ~given:
             out.append(FD(lattice.attrs(s), lattice.attrs(image & ~s)))

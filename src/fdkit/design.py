@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 from .covers import canonical_cover, nonredundant_cover, project_fds, reduced_cover
 from .errors import UniverseMismatchError, check_limit
 from .fds import Attribute, AttributeSet, AttrsLike, DatabaseSchema, FDSet, RelationScheme
-from .fds import _free, _Lattice, _Record, _require_within
+from .fds import _Lattice, _Record, _require_within
 from .instances import Relation, _chase, is_lossless_on
 
 __all__ = [
@@ -171,11 +171,16 @@ def is_prime(
 
 
 def _keys(lattice: _Lattice, full: int) -> Iterator[int]:
-    """The keys of the scheme ``full`` as masks, in scan order: the free
-    superkeys."""
+    """The keys of the scheme ``full`` as masks, in scan order: the
+    superkeys none of whose one-smaller subsets is a superkey, which are
+    those the scan holds in ``prev``."""
     for s, closed, prev in lattice.scan(full):
-        if not full & ~closed and _free(s, prev):
-            yield s
+        if not full & ~closed:
+            rest = s
+            while rest and s ^ (rest & -rest) in prev:
+                rest &= rest - 1
+            if not rest:
+                yield s
 
 
 def _first_violation(lattice: _Lattice, scheme: RelationScheme, nonprime_only: bool):

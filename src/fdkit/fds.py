@@ -223,9 +223,9 @@ class _ClosureIndex:
     touches plus the seed.  The sides are read from the dependencies
     themselves: the index holds no copy of them.
 
-    The cover rewrites change their own private index in place: a dropped
-    member's count is ``-1``, which never reaches zero, and a shrunk left
-    side leaves the lists of the attributes it lost.  The index an
+    The cover rewrites that drop or add members keep their own private
+    index: a dropped member's count is ``-1``, which never reaches zero,
+    and an added member is entered like the first ones.  The index an
     :class:`FDSet` caches is never changed.
     """
 
@@ -255,16 +255,6 @@ class _ClosureIndex:
     def drop(self, i: int) -> None:
         """Remove member ``i``: it never fires again."""
         self.need[i] = -1
-
-    def shrink(self, i: int, lhs: AttributeSet) -> None:
-        """Give member ``i`` the left side ``lhs``, a subset of its own."""
-        old = self.fds[i]
-        for a in old.lhs.difference(lhs):
-            self.waiting[a].remove(i)
-        self.need[i] = len(lhs) or 1
-        if not lhs:
-            self.free.append(i)
-        self.fds[i] = FD(lhs, old.rhs)
 
     def sweep(self) -> list:
         """The greedy non-redundancy sweep: in member order, drop each
@@ -400,10 +390,10 @@ class _Lattice:
         yielded but never extended, so no proper superset of one is
         closed.  No search can answer with such a superset: it is not
         free, since each bit it adds lies in the closure of the rest, and
-        as a superkey it breaks no normal form.  ``prev`` maps every subset of the
-        size before that is not a superkey to its closure, and holds no
-        other subset; :func:`_free` reads it so.  Only two sizes are held
-        at once.
+        as a superkey it breaks no normal form.  ``prev`` maps every
+        subset of the size before that is not a superkey to its closure,
+        and holds no other subset, so a one-smaller subset missing from it
+        is a superkey.  Only two sizes are held at once.
         """
         grow = self._grow
         bits = []
@@ -427,26 +417,6 @@ class _Lattice:
                         cur[s] = image
                     yield s, image, prev
             prev = cur
-
-
-def _free(s: int, prev: dict) -> bool:
-    """Whether no bit of ``s`` lies in the closure of the rest of ``s``,
-    read from ``prev``, the closures that :meth:`_Lattice.scan` holds for
-    the subsets one smaller than ``s``.
-
-    A one-smaller subset missing from ``prev`` is a superkey of the
-    scheme, so its closure holds the bit it lacks: a missing entry reads
-    as "``b`` is in the closure of the rest", which is exact.  A superkey
-    is a key exactly when it is free, and a projection needs only the
-    left sides that are free: dropping a bit in the closure of the rest
-    keeps the image."""
-    rest = s
-    while rest:
-        b = rest & -rest
-        if prev.get(s ^ b, b) & b:
-            return False
-        rest ^= b
-    return True
 
 
 class FDSet:

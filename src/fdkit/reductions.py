@@ -10,6 +10,7 @@ exhaustive oracle.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional
 
 from .dsl import RESERVED_C, RESERVED_D
@@ -144,7 +145,8 @@ def reduce_to_schema(instance: HittingSetInstance) -> DatabaseSchema:
     * the collector scheme ``(B1..Bm __C, {B1..Bm -> __C})``;
     * the target scheme ``(A1..An __C __D)`` with ``__C __D -> A1..An``
       plus ``Ai Aj -> __C __D`` for every distinct pair sharing some
-      ``Bk`` (deduplicated across subsets).
+      ``Bk``, once each: :class:`FDSet` keeps the first of equal
+      dependencies.
 
     Subset attributes are named ``B1..Bm`` positionally; a clash between
     those generated names, the reserved ``__C``/``__D``, and the element
@@ -176,14 +178,7 @@ def reduce_to_schema(instance: HittingSetInstance) -> DatabaseSchema:
     ground_set = AttributeSet(elements)
     cd = AttributeSet([RESERVED_C, RESERVED_D])
     target_fds = [FD(cd, ground_set)]
-    seen_pairs = set()
     for subset in instance.subsets:
-        ordered = tuple(subset)
-        for i in range(len(ordered)):
-            for k in range(i + 1, len(ordered)):
-                pair = AttributeSet([ordered[i], ordered[k]])
-                if pair not in seen_pairs:
-                    seen_pairs.add(pair)
-                    target_fds.append(FD(pair, cd))
+        target_fds += (FD(pair, cd) for pair in combinations(subset, 2))
     schemes.append(RelationScheme(ground_set | cd, FDSet(target_fds)))
     return DatabaseSchema(tuple(schemes))

@@ -293,8 +293,37 @@ class TestLimitsAndEnvironment:
 
     def test_invalid_env_limit_is_a_usage_error(self, files, capsys, monkeypatch):
         monkeypatch.setenv("FDKIT_LIMIT", "many")
-        code, _, _ = run(capsys, ["keys", "--all", "--schema", files["abcde.fd"]])
-        assert code == 2
+        # finding one key searches nothing, yet the value is still refused
+        for argv in (["keys", "--all"], ["keys"]):
+            code, _, _ = run(capsys, [*argv, "--schema", files["abcde.fd"]])
+            assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, kind, default",
+        [
+            (["keys", "--all"], "schema", 16),
+            (["oracle", "implies", "A0 -> A1"], "schema", 12),
+            (["hitting-set"], "instance", 20),
+        ],
+        ids=["keys", "oracle implies", "hitting-set"],
+    )
+    def test_default_limit_applies_with_no_flag_or_environment(
+        self, tmp_path, capsys, monkeypatch, argv, kind, default
+    ):
+        monkeypatch.delenv("FDKIT_LIMIT", raising=False)
+        for n, status in ((default, 0), (default + 1, 3)):
+            names = [f"A{i}" for i in range(n)]
+            path = tmp_path / f"{kind}{n}"
+            if kind == "schema":
+                path.write_text(f"fd A0 -> {', '.join(names[1:])}\n")
+                code, out, err = run(capsys, [*argv, "--schema", str(path)])
+            else:
+                path.write_text(f"elements: {' '.join(names)}\nset: {' '.join(names)}\n")
+                code, out, err = run(capsys, [*argv, str(path)])
+            assert code == status, err
+            if status == 3:
+                assert out == ""
+                assert f"size {n} exceeds the limit of {default}" in err
 
     def test_synthesize_refuses_a_wide_scheme_promptly(self, tmp_path, capsys):
         wide = tmp_path / "wide40.fd"

@@ -1,6 +1,7 @@
 """Cover rewrites: reduced, non-redundant, canonical, minimum, projection."""
 
 import random
+import time
 
 import pytest
 
@@ -156,6 +157,21 @@ class TestProjectFds:
 
         with pytest.raises(UnknownAttributeError):
             project_fds(fdset("A -> B"), "A Z")
+
+    def test_narrow_projection_of_a_wide_universe_is_prompt(self):
+        # A -> Pi, A -> Qi, Pi -> Ci, Qi -> Ci, C0 ... C15 -> T over 50
+        # attributes.  The subset scan closes three subsets of A T, while
+        # projection by attribute elimination in name order takes the Cs
+        # before the Ps and Qs, and its time grows about fourfold with
+        # each step in k.
+        k = 16
+        texts = [f"A -> P{i}" for i in range(k)] + [f"A -> Q{i}" for i in range(k)]
+        texts += [f"P{i} -> C{i}" for i in range(k)] + [f"Q{i} -> C{i}" for i in range(k)]
+        sigma = fdset(*texts, " ".join(f"C{i}" for i in range(k)) + " -> T")
+        assert len(sigma.universe) == 50
+        start = time.perf_counter()
+        assert project_fds(sigma, "A T") == FDSet([fd("A -> T")], universe="A T")
+        assert time.perf_counter() - start < 5
 
     def test_projection_is_sound_and_complete(self):
         # every projected consequence is kept, nothing new is invented

@@ -158,6 +158,25 @@ class TestReduceToSchema:
         assert len(pair_fds) == 11
         assert len(schema.global_fds()) == memberships + 1 + 11 + 1
 
+    def test_worked_example_target_fds_in_order(self):
+        # pairs in subset order, each subset's in name order; the shared
+        # p2 p3 appears once, where the first subset puts it
+        target = reduce_to_schema(worked_example()).schemes[-1]
+        assert [str(f) for f in target.fds] == [
+            "__C __D -> p1 p2 p3 p4 p5 p6 p7 p8",
+            "p1 p2 -> __C __D",
+            "p1 p3 -> __C __D",
+            "p2 p3 -> __C __D",
+            "p2 p4 -> __C __D",
+            "p3 p4 -> __C __D",
+            "p1 p7 -> __C __D",
+            "p1 p8 -> __C __D",
+            "p7 p8 -> __C __D",
+            "p5 p6 -> __C __D",
+            "p5 p7 -> __C __D",
+            "p6 p7 -> __C __D",
+        ]
+
     def test_name_collision_refused(self):
         with pytest.raises(ReservedNameError):
             reduce_to_schema(HittingSetInstance(("B1", "x"), (("x",),)))
