@@ -80,21 +80,14 @@ def canonical_cover(sigma: FDSet) -> FDSet:
 def minimum_cover(sigma: FDSet) -> FDSet:
     """Cover of minimum cardinality, with every right side closed.
 
-    Each original dependency ``X -> Y`` is removed from the working set;
-    if the remainder no longer implies it, ``X -> closure(X)`` (closure
-    under the original input) is appended instead.  A final non-redundancy
-    sweep removes survivors that later insertions made implied.  The
-    result is closed and non-redundant, which guarantees minimum size
-    among all covers.
+    Each distinct left side ``X`` of the input becomes ``X -> closure(X)``,
+    in the order the left sides first occur, and
+    :func:`nonredundant_cover` then drops, in that order, each member the
+    rest imply.  A closed, non-redundant cover has minimum size among all
+    covers (Maier, JACM 1980).
     """
-    index = _ClosureIndex(list(sigma))
-    for i, fd in enumerate(sigma):
-        index.drop(i)
-        if not index.close(fd.lhs, target=fd.rhs):
-            # Never a duplicate: were it in the remainder already, the
-            # remainder would imply X -> Y.
-            index.add(FD(fd.lhs, sigma.closure(fd.lhs)))
-    return FDSet(index.sweep(), universe=sigma.universe)
+    closed = [FD(x, sigma.closure(x)) for x in dict.fromkeys(fd.lhs for fd in sigma)]
+    return nonredundant_cover(FDSet(closed, universe=sigma.universe))
 
 
 def project_fds(

@@ -223,53 +223,41 @@ class _ClosureIndex:
     touches plus the seed.  The sides are read from the dependencies
     themselves: the index holds no copy of them.
 
-    The cover rewrites that drop or add members keep their own private
-    index: a dropped member's count is ``-1``, which never reaches zero,
-    and an added member is entered like the first ones.  The index an
-    :class:`FDSet` caches is never changed.
+    The only change an index ever sees is :meth:`sweep`, which marks
+    dropped members dead with a count of ``-1``, which never reaches
+    zero; it runs only on a private index.  The index an :class:`FDSet`
+    caches is never changed.
     """
 
     __slots__ = ("fds", "need", "waiting", "free")
 
     def __init__(self, fds: Sequence[FD]):
         self.fds = fds
-        self.need: list = []
+        self.need = [len(fd.lhs) or 1 for fd in fds]
         self.waiting: dict = {}
-        self.free: list = []
-        for fd in fds:
-            self._enter(fd)
-
-    def _enter(self, fd: FD) -> None:
-        i = len(self.need)
-        self.need.append(len(fd.lhs) or 1)
-        if not fd.lhs:
-            self.free.append(i)
-        for a in _members(fd.lhs):
-            self.waiting.setdefault(a, []).append(i)
-
-    def add(self, fd: FD) -> None:
-        """Append ``fd`` as a new member."""
-        self.fds.append(fd)
-        self._enter(fd)
-
-    def drop(self, i: int) -> None:
-        """Remove member ``i``: it never fires again."""
-        self.need[i] = -1
+        self.free = [i for i, fd in enumerate(fds) if not fd.lhs]
+        for i, fd in enumerate(fds):
+            for a in _members(fd.lhs):
+                self.waiting.setdefault(a, []).append(i)
 
     def sweep(self) -> list:
         """The greedy non-redundancy sweep: in member order, drop each
         member implied by the other live members, so later members are
         tested against the already shrunk set.  Returns the survivors in
-        order."""
-        fds = self.fds
-        for i in range(len(fds)):
-            if self.need[i] >= 0 and self.close(fds[i].lhs, i, fds[i].rhs):
-                self.drop(i)
-        return [fd for fd, n in zip(fds, self.need) if n >= 0]
+        order.
 
-    def close(self, seed: Iterable[Attribute], skip: int = -1, target: AbstractSet | None = None):
-        """The closure of ``seed`` under the live members other than
-        ``skip``, as a plain set.
+        Member ``i`` is marked dead before its test, so the closure does
+        not fire it, and revived when the others do not imply it.
+        """
+        fds, need = self.fds, self.need
+        for i, fd in enumerate(fds):
+            n, need[i] = need[i], -1
+            if not self.close(fd.lhs, fd.rhs):
+                need[i] = n
+        return [fd for fd, n in zip(fds, need) if n >= 0]
+
+    def close(self, seed: Iterable[Attribute], target: AbstractSet | None = None):
+        """The closure of ``seed`` under the live members, as a plain set.
 
         With a ``target``, returns instead whether the closure contains
         the target, stopping as soon as it does.
@@ -291,8 +279,6 @@ class _ClosureIndex:
             queue.append(self.free)
         if queue:
             count = self.need[:]
-            if skip >= 0:
-                count[skip] = -1
             fds = self.fds
             while queue:
                 for i in queue.pop():
@@ -428,12 +414,14 @@ class FDSet:
     attributes; an explicit universe must contain every mentioned
     attribute.
 
-    Closure, implication, equivalence and redundancy all ask one
+    Closure, implication and equivalence all ask one
     :class:`_ClosureIndex`, built on the first such question and kept for
     the life of the set; implication tests stop as soon as the right side
     is reached.  The index is never changed after it is built, so the set
     stays safe to share across threads: two threads racing to build it
     each build an equal one, and either may be kept.  It is not pickled.
+    Redundancy runs the non-redundancy sweep, which changes the index it
+    runs on, so it builds a private one.
     """
 
     __slots__ = ("_fds", "_universe", "_index")
@@ -542,9 +530,12 @@ class FDSet:
         return self._covers(other) and other._covers(self)
 
     def is_redundant(self) -> bool:
-        """Whether some member is already implied by the others."""
-        close = self._closure_index().close
-        return any(close(fd.lhs, i, fd.rhs) for i, fd in enumerate(self._fds))
+        """Whether some member is already implied by the others.
+
+        Asks the non-redundancy sweep on a private index: the sweep drops
+        nothing until it reaches the first member the others imply.
+        """
+        return len(_ClosureIndex(self._fds).sweep()) < len(self._fds)
 
 
 class _Record:

@@ -101,8 +101,10 @@ def solve_hitting_set(
 
     Depth-first search over element combinations in canonical name order;
     a branch dies as soon as some subset is hit twice, since supersets
-    only hit more.  Exhaustive, so grounds beyond ``limit`` elements are
-    refused.
+    only hit more.  The search keeps its path as a list of chosen
+    element indices, not as nested calls, so a deep search under a
+    raised limit needs no deep stack.  Exhaustive, so grounds beyond
+    ``limit`` elements are refused.
     """
     check_limit("hitting-set search", len(instance.ground), limit)
     elements = sorted(instance.ground)
@@ -111,26 +113,23 @@ def solve_hitting_set(
         [j for j, s in enumerate(sets) if e in s] for e in elements
     ]
     counts = [0] * len(sets)
-
-    def walk(start: int, chosen: list) -> Optional[list]:
-        for i in range(start, len(elements)):
-            if any(counts[j] >= 1 for j in containing[i]):
-                continue
-            chosen.append(elements[i])
+    chosen = []
+    i = 0
+    while True:
+        if i < len(elements):
+            if not any(counts[j] for j in containing[i]):
+                chosen.append(i)
+                for j in containing[i]:
+                    counts[j] = 1
+                if all(counts):
+                    return AttributeSet(elements[k] for k in chosen)
+        elif chosen:
+            i = chosen.pop()
             for j in containing[i]:
-                counts[j] += 1
-            if all(c == 1 for c in counts):
-                return chosen
-            found = walk(i + 1, chosen)
-            if found is not None:
-                return found
-            chosen.pop()
-            for j in containing[i]:
-                counts[j] -= 1
-        return None
-
-    found = walk(0, [])
-    return AttributeSet(found) if found is not None else None
+                counts[j] = 0
+        else:
+            return None
+        i += 1
 
 
 def reduce_to_schema(instance: HittingSetInstance) -> DatabaseSchema:

@@ -114,6 +114,28 @@ class TestMinimumCover:
         out = minimum_cover(fdset("A B -> C", "A -> B", "B -> A"))
         assert out == fdset("A -> A B C", "B -> A B C")
 
+    def test_left_sides_keep_their_first_order(self):
+        sigma = fdset("A -> B", "C -> B", "A -> C")
+        out = minimum_cover(sigma)
+        assert out == fdset("A -> A B C", "C -> B C")
+        assert len(out) == exhaustive_minimum_cover_size(sigma)
+
+    def test_sweep_runs_over_the_closed_left_sides_in_order(self):
+        # B C closes through C -> A C and then A B, so the sweep drops it
+        sigma = fdset("C -> A", "B C -> D", "A -> C", "A B -> C")
+        out = minimum_cover(sigma)
+        assert out == fdset("C -> A C", "A -> A C", "A B -> A B C D")
+        assert len(out) == exhaustive_minimum_cover_size(sigma)
+
+    def test_one_closure_per_distinct_left_side(self, monkeypatch):
+        # a canonical input repeats a left side once per right attribute
+        sigma = canonical_cover(fdset("A -> B C D", "B -> C D", "A -> E"))
+        asked = []
+        close = FDSet.closure
+        monkeypatch.setattr(FDSet, "closure", lambda self, x: asked.append(x) or close(self, x))
+        assert minimum_cover(sigma) == fdset("A -> A B C D E", "B -> B C D")
+        assert asked == [AttributeSet("A"), AttributeSet("B")]
+
     def test_minimum_properties_on_random_inputs(self):
         rng = random.Random(15)
         for _ in range(60):

@@ -398,14 +398,7 @@ def _plain_reduced(fds) -> list:
 
 
 def _plain_minimum(fds) -> list:
-    work = list(fds)
-    for f in fds:
-        work.remove(f)
-        if not f.rhs <= _plain_closure(work, f.lhs):
-            closed = FD(f.lhs, _plain_closure(fds, f.lhs))
-            if closed not in work:
-                work.append(closed)
-    return _plain_sweep(work)
+    return _plain_sweep(dict.fromkeys(FD(f.lhs, _plain_closure(fds, f.lhs)) for f in fds))
 
 
 def _plain_subsets(x):

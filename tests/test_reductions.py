@@ -100,6 +100,20 @@ class TestSolver:
         with pytest.raises(LimitExceededError):
             solve_hitting_set(instance, limit=5)
 
+    def test_deep_search_under_a_raised_limit(self, tmp_path, capsys):
+        # 1200 disjoint one-element sets: the only answer picks every
+        # element, a path deeper than the interpreter's recursion limit
+        from fdkit.cli import main
+
+        n = 1200
+        ground = tuple(f"e{i}" for i in range(n))
+        instance = HittingSetInstance(ground, tuple((e,) for e in ground))
+        assert solve_hitting_set(instance, limit=n) == AttributeSet(ground)
+        path = tmp_path / "deep.hs"
+        path.write_text(render_instance(instance))
+        assert main(["hitting-set", str(path), "--limit", str(n)]) == 0
+        assert capsys.readouterr().out.split() == sorted(ground)
+
     def test_agrees_with_brute_force(self):
         from itertools import combinations
 

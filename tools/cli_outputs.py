@@ -1,0 +1,152 @@
+"""Fingerprint what every fdkit subcommand prints on a fixed set of inputs.
+
+Calls ``fdkit.cli.main`` in-process, from the ``src`` directory of the
+checkout this file lives in, over seeded random schemas and hitting-set
+instances.  Every subcommand runs on each input, plain and with
+``--json``; a few runs add ``--limit 3`` or read a broken schema, so
+exit statuses 2 and 3 show up too.  Prints one line per invocation: the
+sha256 of its exit status, stdout and stderr, then its arguments.
+
+Run it in two checkouts and diff the two outputs to see exactly which
+invocations a change touches.  Running it twice under different
+``PYTHONHASHSEED`` values checks that every command is deterministic.
+Exits 1 if any invocation raises instead of returning a status.
+
+Usage: python tools/cli_outputs.py
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import random
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from fdkit.cli import main as fdkit_main  # noqa: E402
+
+SCHEMAS = 60
+INSTANCES = 30
+LETTERS = "ABCDEFG"
+
+
+def _side(rng, pool, low):
+    return rng.sample(pool, rng.randint(low, min(3, len(pool))))
+
+
+def _fd_text(lhs, rhs) -> str:
+    return f"{', '.join(lhs)} -> {', '.join(rhs)}".rstrip()
+
+
+def _write_schemas(rng, k: int) -> dict:
+    """The files of schema ``k``: the universal schema, the same
+    dependencies over declared schemes, and a random part of the
+    dependencies for ``equivalent``.  Returns the names and one attribute
+    list and dependency to ask about."""
+    pool = list(LETTERS[: rng.randint(2, len(LETTERS))])
+    fds = [_fd_text(_side(rng, pool, 1), _side(rng, pool, 0)) for _ in range(rng.randint(0, 2 * len(pool)))]
+    if fds and rng.random() < 0.2:
+        fds.append(rng.choice(fds))  # a duplicate, which draws a warning
+    universe = f"universe {', '.join(pool)}\n"
+    fd_lines = "".join(f"fd {f}\n" for f in fds)
+    schemes = []
+    for _ in range(rng.randint(1, 3)):
+        schemes.append(sorted(rng.sample(pool, rng.randint(1, len(pool)))))
+    schemes[-1] = sorted(set(schemes[-1]) | (set(pool) - set().union(*schemes)))
+    names = {"u": f"u{k}.fd", "d": f"d{k}.fd", "o": f"o{k}.fd"}
+    Path(names["u"]).write_text(universe + fd_lines)
+    Path(names["d"]).write_text(
+        "".join(f"scheme R{i + 1}({', '.join(s)})\n" for i, s in enumerate(schemes)) + fd_lines
+    )
+    part = [f for f in fds if rng.random() < 0.7]
+    Path(names["o"]).write_text(universe + "".join(f"fd {f}\n" for f in part))
+    names["of"] = " ".join(_side(rng, pool, 1))
+    names["fd"] = _fd_text(_side(rng, pool, 1), _side(rng, pool, 1))
+    return names
+
+
+def _write_instance(rng, k: int) -> str:
+    ground = [f"p{i}" for i in range(1, rng.randint(1, 8) + 1)]
+    lines = [f"elements: {' '.join(ground)}"]
+    lines += [f"set: {' '.join(rng.sample(ground, rng.randint(1, min(3, len(ground)))))}" for _ in range(rng.randint(1, 5))]
+    name = f"h{k}.hs"
+    Path(name).write_text("\n".join(lines) + "\n")
+    return name
+
+
+def invocations() -> list:
+    """Every argument list, in a fixed order; writes the input files into
+    the current directory."""
+    out = []
+    for k in range(SCHEMAS):
+        f = _write_schemas(random.Random(k), k)
+        u, d = ["--schema", f["u"]], ["--schema", f["d"]]
+        out += [
+            ["closure", "--of", f["of"], *u],
+            ["implies", f["fd"], *u],
+            ["oracle", "implies", f["fd"], *u],
+            ["equivalent", f["o"], *u],
+            ["mincover", *u],
+            ["nonredundant", *u],
+            ["reduce-fds", *u],
+            ["canonical", *u],
+            ["keys", *u],
+            ["keys", "--all", *u],
+            ["keys", "--scheme", "R1", *d],
+            ["check", "--nf", "bcnf", *d],
+            ["check", "--nf", "3nf", *d],
+            ["decompose", "--bcnf", *d],
+            ["synthesize", "--3nf", *u],
+            ["represents", f["u"], *d],
+        ]
+        if k < 5:
+            out += [
+                ["keys", "--all", "--limit", "3", *u],
+                ["check", "--nf", "bcnf", "--limit", "3", *d],
+                ["synthesize", "--3nf", "--limit", "3", *u],
+            ]
+    for k in range(INSTANCES):
+        h = _write_instance(random.Random(1000 + k), k)
+        out += [["hitting-set", h], ["reduce", h]]
+        if k < 5:
+            out.append(["hitting-set", h, "--limit", "3"])
+    Path("broken.fd").write_text("scheme S(A\n")
+    out += [["mincover", "--schema", "broken.fd"], ["closure", "--of", "A", "--schema", "missing.fd"]]
+    return [argv + extra for argv in out for extra in ([], ["--json"])]
+
+
+def run(argv: list) -> tuple:
+    """The exit status, stdout and stderr of one in-process invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = fdkit_main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def main() -> int:
+    os.environ.pop("FDKIT_LIMIT", None)
+    sys.stdin = io.StringIO()  # every invocation names its files
+    failed = 0
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for argv in invocations():
+            args = shlex.join(argv)
+            try:
+                status, out, err = run(argv)
+            except Exception as exc:
+                failed += 1
+                print(f"RAISED {type(exc).__name__}  {args}")
+                continue
+            digest = hashlib.sha256(repr((status, out, err)).encode()).hexdigest()
+            print(f"{digest}  {args}")
+        os.chdir(home)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
