@@ -138,14 +138,18 @@ def find_key(scheme: RelationScheme, sigma: FDSet) -> AttributeSet:
 def enumerate_keys(
     scheme: RelationScheme, sigma: FDSet, limit: int = DEFAULT_SEARCH_LIMIT
 ) -> frozenset:
-    """Every key of the scheme, by exhaustive subset search.
+    """Every key of the scheme.
 
-    Subsets are closed in ascending size, and a superkey is kept when
-    none of its one-smaller subsets is a superkey, so everything kept is
-    minimal.  No proper superset of a superkey is closed: the scan never
-    extends a superkey, since nothing above one can be minimal.
-    Exponential by design; schemes beyond ``limit`` attributes are
-    refused.
+    A scheme that holds its dependencies, one that holds every attribute
+    ``sigma``'s dependencies mention, is answered by Lucchesi and
+    Osborn's algorithm, in time polynomial in the number of keys.  Any
+    other scheme is answered by exhaustive subset search: subsets are
+    closed in ascending size, and a superkey is kept when none of its
+    one-smaller subsets is a superkey, so everything kept is minimal.  No
+    proper superset of a superkey is closed: the scan never extends a
+    superkey, since nothing above one can be minimal.  Both paths return
+    the same keys.  Schemes beyond ``limit`` attributes are refused
+    either way.
     """
     check_limit("key enumeration", len(scheme.attrs), limit)
     lattice = _Lattice(sigma)
@@ -160,7 +164,9 @@ def is_prime(
 ) -> bool:
     """Whether ``a`` belongs to some key of the scheme.
 
-    The key search stops at the first key holding ``a``.
+    The key search of :func:`enumerate_keys`, without the subset scan for
+    a scheme that holds its dependencies, stops at the first key holding
+    ``a``.
     """
     a = AttributeSet([a])
     _require_within(a, scheme.attrs, "attributes outside the scheme")
@@ -171,6 +177,15 @@ def is_prime(
 
 
 def _keys(lattice: _Lattice, full: int) -> Iterator[int]:
+    """The keys of the scheme ``full`` as masks, one at a time: by
+    :func:`_lucchesi_osborn` when the scheme holds every bit its
+    dependencies mention, and by :func:`_scanned_keys` otherwise."""
+    if lattice.used & ~full:
+        return _scanned_keys(lattice, full)
+    return _lucchesi_osborn(lattice, full)
+
+
+def _scanned_keys(lattice: _Lattice, full: int) -> Iterator[int]:
     """The keys of the scheme ``full`` as masks, in scan order: the
     superkeys none of whose one-smaller subsets is a superkey, which are
     those the scan holds in ``prev``."""
@@ -183,6 +198,59 @@ def _keys(lattice: _Lattice, full: int) -> Iterator[int]:
                 yield s
 
 
+def _lucchesi_osborn(lattice: _Lattice, full: int) -> Iterator[int]:
+    """The keys of the scheme ``full``, which must hold every bit
+    ``lattice.used``, as masks (Lucchesi and Osborn, JCSS 1978).
+
+    The dependencies are then a cover of the scheme's own.  Start from
+    one key; for each key ``K`` found, in order, and each pair
+    ``(X, Y)``, ``S = X | (K & ~Y)`` is a superkey, since ``S``
+    determines ``Y`` and so all of ``K``.  Unless a known key lies
+    inside ``S``, shrink ``S`` to a key, which is new.  Every key turns
+    up: were one missed, take a largest set ``M`` holding it and no key
+    found.  ``M`` determines the scheme but is not all of it, so some
+    pair has ``X`` inside ``M`` and a bit ``a`` of ``Y`` outside; some
+    found ``K`` lies inside ``M | a``, so its ``S`` lies inside ``M``,
+    and so does the found key inside ``S``.  Superkeys are shrunk by
+    dropping each bit in ascending (canonical) order whenever the rest
+    still determines the scheme.
+
+    The test for a known key inside ``S`` tries the cheap cases first:
+    ``S`` often holds ``K`` itself, and is often a known key, as when
+    one key trades an attribute for another.  Only then are the known
+    keys tried one by one.
+    """
+    close = lattice.close
+
+    def shrink(s: int) -> int:
+        rest = s
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if not full & ~close(s ^ b):
+                s ^= b
+        return s
+
+    keys = [shrink(full)]
+    known = set(keys)
+    yield keys[0]
+    for key in keys:  # keys found below join the loop
+        for lhs, rhs in lattice.pairs:
+            s = lhs | key & ~rhs
+            if key & ~s and s not in known and all(k & ~s for k in keys):
+                keys.append(shrink(s))
+                known.add(keys[-1])
+                yield keys[-1]
+
+
+def _primes(lattice: _Lattice, full: int) -> int:
+    """The bits of the scheme ``full`` that lie in some key."""
+    primes = 0
+    for key in _keys(lattice, full):
+        primes |= key
+    return primes
+
+
 def _first_violation(lattice: _Lattice, scheme: RelationScheme, nonprime_only: bool):
     """First determinant of the scheme that is not a superkey, scanning
     subsets in (size, canonical) order.  Returns (determinant, dependents)
@@ -191,10 +259,26 @@ def _first_violation(lattice: _Lattice, scheme: RelationScheme, nonprime_only: b
     With ``nonprime_only`` a determinant counts only when it determines a
     nonprime attribute of the scheme, and the dependents shrink to the
     first such attribute: the definition of 3NF, checked directly.  The
-    primes are computed once, at the first non-superkey determinant.
+    primes are computed once, before the scan for a scheme that holds its
+    dependencies and otherwise at the first non-superkey determinant.
+
+    A scheme that holds its dependencies is decided first from the
+    pairs alone: it violates iff some pair ``(V, W)`` with ``W - V``
+    holding an attribute (for 3NF a nonprime one) has a ``V`` that is
+    not a superkey.  If an implied ``X -> A`` violates, the pair that
+    first adds ``A`` to ``closure(X)`` has ``V`` inside ``closure(X)``,
+    so ``V`` is not a superkey, and ``A`` lies in ``W - V``; conversely
+    such a pair is itself a violation.  A scheme that satisfies the form
+    is answered without the scan, and one that violates it still scans,
+    so the witness is the same first violation either way.
     """
     full = lattice.mask(scheme.attrs)
     primes = None
+    if not lattice.used & ~full:
+        primes = _primes(lattice, full) if nonprime_only else 0
+        close = lattice.close
+        if all(not full & ~close(lhs) for lhs, rhs in lattice.pairs if rhs & ~lhs & ~primes):
+            return None
     for s, closed, _ in lattice.scan(full):
         inside = closed & full
         if inside == s or inside == full:
@@ -202,9 +286,7 @@ def _first_violation(lattice: _Lattice, scheme: RelationScheme, nonprime_only: b
         dependents = inside & ~s
         if nonprime_only:
             if primes is None:
-                primes = 0
-                for key in _keys(lattice, full):
-                    primes |= key
+                primes = _primes(lattice, full)
             dependents &= ~primes
             if not dependents:
                 continue

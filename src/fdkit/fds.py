@@ -314,26 +314,38 @@ class _Lattice:
     Each attribute of ``sigma.universe`` owns one bit, in name order.
     The universe, not the scheme: a closure may pass through attributes
     outside the scheme on its way back in.  ``sigma`` is compiled once
-    into ``(lhs, rhs)`` mask pairs, listed under each bit of their left
-    side, and every scheme scanned reuses them; pairs with an empty left
-    side seed the closure of the empty set.  :meth:`mask` and
-    :meth:`attrs` convert between attribute sets and masks.
+    into ``(lhs, rhs)`` mask pairs, kept in order in ``pairs`` and listed
+    under each bit of their left side, and every scheme scanned reuses
+    them; pairs with an empty left side seed the closure of the empty
+    set.  ``used`` is the union of the bits the pairs mention.
+    :meth:`mask` and :meth:`attrs` convert between attribute sets and
+    masks.
+
+    A scheme that holds its dependencies, one whose mask covers ``used``,
+    has ``sigma`` itself as a cover of its projected dependencies, so its
+    keys and its BCNF and 3NF verdicts are read from ``pairs`` without
+    the scan (see :mod:`fdkit.design`).  Projection, and every narrower
+    scheme, still scan.
     """
 
-    __slots__ = ("names", "bit", "waiting", "bottom")
+    __slots__ = ("names", "bit", "pairs", "used", "waiting", "bottom")
 
     def __init__(self, sigma: "FDSet"):
         self.names = tuple(sigma.universe)
         bit = self.bit = {a: 1 << i for i, a in enumerate(self.names)}
+        self.pairs = []
         self.waiting: dict = {}
-        bottom = 0
+        bottom = used = 0
         for fd in sigma:
             lhs = sum(bit[a] for a in _members(fd.lhs))
             rhs = sum(bit[a] for a in _members(fd.rhs))
+            self.pairs.append((lhs, rhs))
+            used |= lhs | rhs
             if not lhs:
                 bottom |= rhs
             for a in _members(fd.lhs):
                 self.waiting.setdefault(bit[a], []).append((lhs, rhs))
+        self.used = used
         self.bottom = self._grow(bottom, bottom)
 
     def mask(self, attrs: AttributeSet) -> int:
@@ -345,6 +357,11 @@ class _Lattice:
         """The attributes of the bits of ``mask``."""
         names = self.names
         return _attrset(names[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+    def close(self, s: int) -> int:
+        """The closure of the mask ``s``."""
+        s |= self.bottom
+        return self._grow(s, s)
 
     def _grow(self, closed: int, new: int) -> int:
         """The closure of ``closed``, which is closed already under every

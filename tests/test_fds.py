@@ -35,8 +35,10 @@ from fdkit import (
     project_fds,
     reduce_to_schema,
     reduced_cover,
+    solve_hitting_set,
 )
 from fdkit import fds
+from fdkit.design import _keys, _lucchesi_osborn, _scanned_keys
 from fdkit.fds import _ClosureIndex, _Lattice
 
 from util import LETTERS, fd, fdset, random_fdset, random_subset
@@ -526,21 +528,36 @@ def _plain_witness(fds, x, nonprime_only):
     return None
 
 
+_SEEN = (
+    "empty lhs",
+    "one attribute",
+    "narrower",
+    "whole bcnf satisfies",
+    "whole bcnf violates",
+    "whole 3nf satisfies",
+    "whole 3nf violates",
+)
+
+
 class TestLatticeScan:
     """Keys, the first BCNF and 3NF witnesses and projection, all read
     from one subset scan, against brute force over ``itertools`` order
-    and a plain fixpoint closure."""
+    and a plain fixpoint closure.  A scheme that holds its dependencies
+    ("whole") takes the path without the scan, and must agree too."""
 
     def _agree(self, schema, rng, seen):
         sigma = schema.global_fds()
         fds = sigma.fds
         seen["empty lhs"] += any(not f.lhs for f in fds)
+        mentioned = set().union(*(f.attributes for f in fds))
         for report, nonprime_only in ((check_bcnf(schema), False), (check_3nf(schema), True)):
             expected = []
             for i, scheme in enumerate(schema):
                 found = _plain_witness(fds, scheme.attrs, nonprime_only)
                 if found is not None:
                     expected.append((i, *found))
+                if mentioned <= scheme.attrs:
+                    seen[f"whole {report.form} {'satisfies' if found is None else 'violates'}"] += 1
             assert [(w.scheme_index, w.determinant, w.dependents) for w in report.witnesses] == expected
         for scheme in schema:
             x = scheme.attrs
@@ -555,7 +572,7 @@ class TestLatticeScan:
 
     def test_random_schemas_agree_with_brute_force(self):
         rng = random.Random(23)
-        seen = dict.fromkeys(("empty lhs", "one attribute", "narrower"), 0)
+        seen = dict.fromkeys(_SEEN, 0)
         for _ in range(150):
             n = rng.randint(0, 10)
             pool = [f"A{i}" for i in range(n)]
@@ -570,7 +587,7 @@ class TestLatticeScan:
     def test_hitting_set_reductions_agree_with_brute_force(self):
         # their target scheme's closures pass through attributes outside it
         rng = random.Random(29)
-        seen = dict.fromkeys(("empty lhs", "one attribute", "narrower"), 0)
+        seen = dict.fromkeys(_SEEN, 0)
         for _ in range(25):
             n = rng.randint(1, 4)
             ground = tuple(f"p{i}" for i in range(n))
@@ -586,7 +603,7 @@ class TestLatticeScan:
         # single attributes may be keys, a scheme may be empty, and
         # closures may leave a scheme and come back
         rng = random.Random(37)
-        seen = dict.fromkeys(("empty lhs", "one attribute", "narrower"), 0)
+        seen = dict.fromkeys(_SEEN, 0)
         kinds = dict.fromkeys(("bottom covers", "single-attribute keys", "empty scheme", "passes outside"), 0)
         for _ in range(120):
             n = rng.randint(1, 10)
@@ -622,6 +639,79 @@ class TestLatticeScan:
                 kinds["passes outside"] += any(not sigma.closure([a]) & x <= _plain_closure(inside, [a]) for a in x)
             self._agree(schema, rng, seen)
         assert all(seen.values()) and all(kinds.values()), (seen, kinds)
+
+    def test_lucchesi_osborn_keys_match_the_scan(self):
+        # every scheme here is its sigma's whole universe, so it holds its
+        # dependencies; the hitting-set reductions are adversarial inputs
+        rng = random.Random(47)
+        cases = []
+        for _ in range(200):
+            n = rng.randint(0, 12)
+            pool = [f"A{i}" for i in range(n)]
+            fds = [FD(_random_sides(rng, pool, n), _random_sides(rng, pool, n)) for _ in range(rng.randint(0, 2 * n))]
+            cases.append(FDSet(fds, universe=pool))
+        solvable = [0, 0]
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            ground = tuple(f"p{i}" for i in range(n))
+            subsets = tuple(
+                tuple(rng.sample(ground, rng.randint(1, min(3, n)))) for _ in range(rng.randint(1, 4))
+            )
+            instance = HittingSetInstance(ground, subsets)
+            solvable[solve_hitting_set(instance) is None] += 1
+            cases.append(reduce_to_schema(instance).global_fds())
+        pairs = [f"A{i:02d}" for i in range(16)]
+        cases.append(FDSet([FD(pairs[i], pairs[i ^ 1]) for i in range(16)]))
+        assert all(solvable), solvable
+        empty_lhs = 0
+        for sigma in cases:
+            empty_lhs += any(not f.lhs for f in sigma)
+            lattice = _Lattice(sigma)
+            full = lattice.mask(sigma.universe)
+            found = list(_lucchesi_osborn(lattice, full))
+            assert len(set(found)) == len(found)
+            assert list(_keys(lattice, full)) == found
+            assert sorted(found) == sorted(_scanned_keys(lattice, full))
+            if len(sigma.universe) <= 10:
+                plain = _plain_keys(sigma.fds, sigma.universe)
+                assert sorted(found) == sorted(lattice.mask(k) for k in plain)
+        assert len(found) == 256  # the mutual pairs, the last case
+        assert empty_lhs
+
+    def test_whole_schemes_skip_the_scan(self, monkeypatch):
+        # keys, primes and satisfied verdicts of a scheme that holds its
+        # dependencies never scan; a narrower scheme and a violated check
+        # still do
+        class Scanned(Exception):
+            pass
+
+        def scan(self, full):
+            raise Scanned
+
+        monkeypatch.setattr(_Lattice, "scan", scan)
+        pool = [f"A{i:02d}" for i in range(16)]
+        cyclic = FDSet([FD(a, b) for a, b in zip(pool, pool[1:] + pool[:1])])
+        scheme = RelationScheme(pool, cyclic)
+        assert enumerate_keys(scheme, cyclic) == frozenset(AttributeSet([a]) for a in pool)
+        assert all(is_prime(scheme, cyclic, a) for a in pool)
+        assert check_bcnf(DatabaseSchema([scheme])).satisfied
+        assert check_3nf(DatabaseSchema([scheme])).satisfied
+        # a trivial dependency breaks no form, whatever its left side
+        keyed = FDSet([FD(pool[0], pool), FD(pool[1], pool[1])])
+        assert check_bcnf(DatabaseSchema([RelationScheme(pool, keyed)])).satisfied
+        narrower = RelationScheme(pool[::2], FDSet((), universe=pool[::2]))
+        with pytest.raises(Scanned):
+            enumerate_keys(narrower, cyclic)
+        with pytest.raises(Scanned):
+            is_prime(narrower, cyclic, pool[0])
+        # mutual pairs: every attribute is prime, so 3NF holds and BCNF fails
+        pairs = FDSet([FD(a, pool[i ^ 1]) for i, a in enumerate(pool)])
+        assert check_3nf(DatabaseSchema([RelationScheme(pool, pairs)])).satisfied
+        with pytest.raises(Scanned):
+            check_bcnf(DatabaseSchema([RelationScheme(pool, pairs)]))
+        chain = FDSet([FD(a, b) for a, b in zip(pool, pool[1:])])
+        with pytest.raises(Scanned):
+            check_3nf(DatabaseSchema([RelationScheme(pool, chain)]))
 
     def test_scan_yields_each_superkey_free_subset_once_in_order(self):
         # every subset that holds no superkey is yielded once, in (size,

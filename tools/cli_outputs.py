@@ -4,8 +4,11 @@ Calls ``fdkit.cli.main`` in-process, from the ``src`` directory of the
 checkout this file lives in, over seeded random schemas and hitting-set
 instances.  Every subcommand runs on each input, plain and with
 ``--json``; a few runs add ``--limit 3`` or read a broken schema, so
-exit statuses 2 and 3 show up too.  Prints one line per invocation: the
-sha256 of its exit status, stdout and stderr, then its arguments.
+exit statuses 2 and 3 show up too.  A few wider schemas, of 9-12
+attributes, go through ``keys --all`` and ``check`` only, on a scheme
+that holds its dependencies and on a narrower one.  Prints one line per
+invocation: the sha256 of its exit status, stdout and stderr, then its
+arguments.
 
 Run it in two checkouts and diff the two outputs to see exactly which
 invocations a change touches.  Running it twice under different
@@ -31,7 +34,9 @@ from fdkit.cli import main as fdkit_main  # noqa: E402
 
 SCHEMAS = 60
 INSTANCES = 30
+WIDE = 8
 LETTERS = "ABCDEFG"
+WIDE_LETTERS = "ABCDEFGHIJKL"
 
 
 def _side(rng, pool, low):
@@ -66,6 +71,30 @@ def _write_schemas(rng, k: int) -> dict:
     Path(names["o"]).write_text(universe + "".join(f"fd {f}\n" for f in part))
     names["of"] = " ".join(_side(rng, pool, 1))
     names["fd"] = _fd_text(_side(rng, pool, 1), _side(rng, pool, 1))
+    return names
+
+
+def _write_wide(rng, k: int) -> dict:
+    """The files of wide schema ``k``: the universal schema, and the same
+    dependencies over the whole universe and a narrower scheme.  Schemas
+    0 and 1 are mutual pairs (``A <-> B``, ``C <-> D``, ...), 2 also has
+    a dependency with an empty right side, 3 is a cycle, and the rest
+    are random."""
+    pool = list(WIDE_LETTERS[: rng.randint(9, len(WIDE_LETTERS))])
+    if k < 2:
+        fds = [_fd_text([a], [b]) for x, y in zip(pool[::2], pool[1::2]) for a, b in ((x, y), (y, x))]
+    elif k == 3:
+        fds = [_fd_text([a], [b]) for a, b in zip(pool, pool[1:] + pool[:1])]
+    else:
+        fds = [_fd_text(_side(rng, pool, 1), _side(rng, pool, 1)) for _ in range(rng.randint(len(pool) // 2, len(pool)))]
+    if k == 2:
+        fds.append(_fd_text(_side(rng, pool, 1), []))
+    attrs = ", ".join(pool)
+    part = ", ".join(sorted(rng.sample(pool, rng.randint(2, len(pool) - 1))))
+    fd_lines = "".join(f"fd {f}\n" for f in fds)
+    names = {"u": f"w{k}.fd", "d": f"wd{k}.fd"}
+    Path(names["u"]).write_text(f"universe {attrs}\n" + fd_lines)
+    Path(names["d"]).write_text(f"scheme W({attrs})\nscheme N({part})\n" + fd_lines)
     return names
 
 
@@ -109,6 +138,17 @@ def invocations() -> list:
                 ["check", "--nf", "bcnf", "--limit", "3", *d],
                 ["synthesize", "--3nf", "--limit", "3", *u],
             ]
+    for k in range(WIDE):
+        f = _write_wide(random.Random(2000 + k), k)
+        u, d = ["--schema", f["u"]], ["--schema", f["d"]]
+        out += [
+            ["keys", "--all", *u],
+            ["keys", "--all", "--scheme", "N", *d],
+            ["check", "--nf", "bcnf", *u],
+            ["check", "--nf", "3nf", *u],
+            ["check", "--nf", "bcnf", *d],
+            ["check", "--nf", "3nf", *d],
+        ]
     for k in range(INSTANCES):
         h = _write_instance(random.Random(1000 + k), k)
         out += [["hitting-set", h], ["reduce", h]]
