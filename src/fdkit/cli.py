@@ -144,16 +144,18 @@ def _fail(message: str) -> None:
 
 def _limit(ns) -> dict:
     """``{"limit": n}`` when ``--limit`` or the environment sets one, else
-    ``{}``, which leaves each search its own default."""
-    if ns.limit is not None:
-        return {"limit": ns.limit}
-    raw = os.environ.get(LIMIT_ENV)
+    ``{}``, which leaves each search its own default.  A value that is not
+    a whole number of at least 0 is a usage error."""
+    source, raw = ("--limit", ns.limit) if ns.limit is not None else (LIMIT_ENV, os.environ.get(LIMIT_ENV))
     if raw is None:
         return {}
     try:
-        return {"limit": int(raw)}
+        limit = int(raw)
     except ValueError:
-        raise UsageError(f"invalid {LIMIT_ENV} value: {raw!r}")
+        limit = -1  # refused below, as a negative limit is
+    if limit < 0:
+        raise UsageError(f"invalid {source} value: {raw!r}")
+    return {"limit": limit}
 
 
 def _read_source(path: str) -> str:

@@ -95,32 +95,12 @@ def project_fds(
 ) -> FDSet:
     """Cover of every implied dependency whose attributes all lie in ``x``.
 
-    Enumerates left sides ``S`` over subsets of ``x`` in (size, canonical)
-    order and emits ``S -> img(S) - S``, where ``img(S)`` is
-    ``closure(S) & x``, then compresses the collected set with
-    :func:`nonredundant_cover`.  The result's universe is ``x``.
-
-    Two kinds of left side are skipped before that sweep.  A proper
-    superset of a superkey of ``x`` is never closed at all (see
-    :meth:`~fdkit.fds._Lattice.scan`).  And ``S`` is skipped when its
-    proper subsets already give its image: ``img(S)`` lies inside ``S``
-    and the images of the ``S - a``, read from the closures the scan
-    holds, where a missing ``S - a`` is a superkey and its image all of
-    ``x``.  Every ``S`` that is not free, with an ``a`` in the closure of
-    the rest, is skipped so, since ``S - a`` has the closure of ``S``.
-
-    Skipping leaves the greedy sweep's output unchanged.  An ``S`` that
-    is not free carries the image of that ``S - a``.  The sweep would
-    drop a free ``S`` that the test skips: closing ``S - a`` never fires
-    ``S``, which is free, so the other candidates give each
-    ``img(S - a)`` and with them ``img(S)``.  Nor does ``S`` decide the
-    fate of another candidate ``T -> ...``.  ``S`` can fire in the
-    closure of ``T`` only inside ``img(T)``, and then ``T`` lies in no
-    ``img(S - a)``, or ``S`` would lie there too and not be free.  So the
-    candidate under test never fires while an ``S - a`` is closed, the
-    others give each ``img(S - a)`` without ``S`` or any other skipped
-    candidate (by induction on the size of the image, which shrinks from
-    ``S`` to ``S - a``), and ``S`` adds nothing.
+    Takes the left sides ``S`` over subsets of ``x`` in (size, canonical)
+    order, emits ``S -> img(S) - S``, where ``img(S)`` is
+    ``closure(S) & x``, and compresses the collected set with
+    :func:`nonredundant_cover`.  The result's universe is ``x``.  The
+    left sides that cannot change the sweep's output are skipped before
+    it (see :meth:`~fdkit.fds._Lattice.cover`).
 
     Exponential in ``len(x)`` by design; inputs beyond ``limit``
     attributes are refused with :class:`LimitExceededError`.
@@ -129,18 +109,5 @@ def project_fds(
     _require_within(x, sigma.universe, "projection attributes outside the universe")
     check_limit("projection", len(x), limit)
     lattice = _Lattice(sigma)
-    full = lattice.mask(x)
-    out = []
-    for s, closed, prev in lattice.scan(full):
-        image = closed & full
-        if not image & ~s:
-            continue
-        given = s
-        rest = s
-        while rest and image & ~given:
-            b = rest & -rest
-            given |= prev.get(s ^ b, full)
-            rest ^= b
-        if image & ~given:
-            out.append(FD(lattice.attrs(s), lattice.attrs(image & ~s)))
+    out = [FD(lattice.attrs(lhs), lattice.attrs(rhs)) for lhs, rhs in lattice.cover(lattice.mask(x))]
     return nonredundant_cover(FDSet(out, universe=x))

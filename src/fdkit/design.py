@@ -9,7 +9,7 @@ fixed canonical order so reported witnesses are deterministic.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .covers import canonical_cover, nonredundant_cover, project_fds, reduced_cover
 from .errors import UniverseMismatchError, check_limit
@@ -138,22 +138,21 @@ def find_key(scheme: RelationScheme, sigma: FDSet) -> AttributeSet:
 def enumerate_keys(
     scheme: RelationScheme, sigma: FDSet, limit: int = DEFAULT_SEARCH_LIMIT
 ) -> frozenset:
-    """Every key of the scheme.
+    """Every key of the scheme, by Lucchesi and Osborn's algorithm, in
+    time polynomial in the number of keys once the scheme has a cover of
+    its own dependencies.
 
     A scheme that holds its dependencies, one that holds every attribute
-    ``sigma``'s dependencies mention, is answered by Lucchesi and
-    Osborn's algorithm, in time polynomial in the number of keys.  Any
-    other scheme is answered by exhaustive subset search: subsets are
-    closed in ascending size, and a superkey is kept when none of its
-    one-smaller subsets is a superkey, so everything kept is minimal.  No
-    proper superset of a superkey is closed: the scan never extends a
-    superkey, since nothing above one can be minimal.  Both paths return
-    the same keys.  Schemes beyond ``limit`` attributes are refused
+    ``sigma``'s dependencies mention, has ``sigma`` itself as that
+    cover.  Any other scheme gets one from a single subset scan (see
+    :meth:`~fdkit.fds._Lattice.cover`), which is exponential in the
+    scheme's width.  Schemes beyond ``limit`` attributes are refused
     either way.
     """
     check_limit("key enumeration", len(scheme.attrs), limit)
     lattice = _Lattice(sigma)
-    return frozenset(map(lattice.attrs, _keys(lattice, lattice.mask(scheme.attrs))))
+    full = lattice.mask(scheme.attrs)
+    return frozenset(map(lattice.attrs, _lucchesi_osborn(lattice, full, _cover(lattice, full))))
 
 
 def is_prime(
@@ -164,56 +163,45 @@ def is_prime(
 ) -> bool:
     """Whether ``a`` belongs to some key of the scheme.
 
-    The key search of :func:`enumerate_keys`, without the subset scan for
-    a scheme that holds its dependencies, stops at the first key holding
-    ``a``.
+    The key search of :func:`enumerate_keys`, stopped at the first key
+    holding ``a``; for a narrower scheme, the scan that builds its cover
+    stops there too.
     """
     a = AttributeSet([a])
     _require_within(a, scheme.attrs, "attributes outside the scheme")
     check_limit("key enumeration", len(scheme.attrs), limit)
     lattice = _Lattice(sigma)
     bit = lattice.mask(a)
-    return any(bit & key for key in _keys(lattice, lattice.mask(scheme.attrs)))
+    full = lattice.mask(scheme.attrs)
+    return any(bit & key for key in _lucchesi_osborn(lattice, full, _cover(lattice, full)))
 
 
-def _keys(lattice: _Lattice, full: int) -> Iterator[int]:
-    """The keys of the scheme ``full`` as masks, one at a time: by
-    :func:`_lucchesi_osborn` when the scheme holds every bit its
-    dependencies mention, and by :func:`_scanned_keys` otherwise."""
-    if lattice.used & ~full:
-        return _scanned_keys(lattice, full)
-    return _lucchesi_osborn(lattice, full)
+def _cover(lattice: _Lattice, full: int) -> Iterable[tuple]:
+    """A cover of the scheme ``full``'s own dependencies, as mask pairs
+    inside it: ``lattice.pairs`` when the scheme holds every bit they
+    mention, and otherwise the pairs one scan yields as it goes."""
+    return lattice.cover(full) if lattice.used & ~full else lattice.pairs
 
 
-def _scanned_keys(lattice: _Lattice, full: int) -> Iterator[int]:
-    """The keys of the scheme ``full`` as masks, in scan order: the
-    superkeys none of whose one-smaller subsets is a superkey, which are
-    those the scan holds in ``prev``."""
-    for s, closed, prev in lattice.scan(full):
-        if not full & ~closed:
-            rest = s
-            while rest and s ^ (rest & -rest) in prev:
-                rest &= rest - 1
-            if not rest:
-                yield s
+def _lucchesi_osborn(lattice: _Lattice, full: int, cover: Iterable[tuple]) -> Iterator[int]:
+    """The keys of the scheme ``full`` as masks, from ``cover``, a cover
+    of the scheme's own dependencies as mask pairs inside it (Lucchesi
+    and Osborn, JCSS 1978).
 
-
-def _lucchesi_osborn(lattice: _Lattice, full: int) -> Iterator[int]:
-    """The keys of the scheme ``full``, which must hold every bit
-    ``lattice.used``, as masks (Lucchesi and Osborn, JCSS 1978).
-
-    The dependencies are then a cover of the scheme's own.  Start from
-    one key; for each key ``K`` found, in order, and each pair
+    Start from one key; for each key ``K`` found and each pair
     ``(X, Y)``, ``S = X | (K & ~Y)`` is a superkey, since ``S``
     determines ``Y`` and so all of ``K``.  Unless a known key lies
-    inside ``S``, shrink ``S`` to a key, which is new.  Every key turns
-    up: were one missed, take a largest set ``M`` holding it and no key
-    found.  ``M`` determines the scheme but is not all of it, so some
-    pair has ``X`` inside ``M`` and a bit ``a`` of ``Y`` outside; some
-    found ``K`` lies inside ``M | a``, so its ``S`` lies inside ``M``,
-    and so does the found key inside ``S``.  Superkeys are shrunk by
-    dropping each bit in ascending (canonical) order whenever the rest
-    still determines the scheme.
+    inside ``S``, shrink ``S`` to a key, which is new.  The pairs are
+    read as they come, so a scan's cover yields its first keys before
+    the scan ends: each pair meets every key found so far, and each new
+    key every pair read so far.  Every key turns up: were one missed,
+    take a largest set ``M`` holding it and no key found.  ``M``
+    determines the scheme but is not all of it, so some pair has ``X``
+    inside ``M`` and a bit ``a`` of ``Y`` outside; some found ``K`` lies
+    inside ``M | a``, so its ``S`` lies inside ``M``, and so does the
+    found key inside ``S``.  Superkeys are shrunk by dropping each bit
+    in ascending (canonical) order whenever the rest still determines
+    the scheme.
 
     The test for a known key inside ``S`` tries the cheap cases first:
     ``S`` often holds ``K`` itself, and is often a known key, as when
@@ -234,21 +222,18 @@ def _lucchesi_osborn(lattice: _Lattice, full: int) -> Iterator[int]:
     keys = [shrink(full)]
     known = set(keys)
     yield keys[0]
-    for key in keys:  # keys found below join the loop
-        for lhs, rhs in lattice.pairs:
-            s = lhs | key & ~rhs
-            if key & ~s and s not in known and all(k & ~s for k in keys):
-                keys.append(shrink(s))
-                known.add(keys[-1])
-                yield keys[-1]
-
-
-def _primes(lattice: _Lattice, full: int) -> int:
-    """The bits of the scheme ``full`` that lie in some key."""
-    primes = 0
-    for key in _keys(lattice, full):
-        primes |= key
-    return primes
+    pairs = []
+    met = 1  # keys[:met] have met every pair read before the newest
+    for pair in cover:
+        pairs.append(pair)
+        for i, key in enumerate(keys):  # keys found below join the loop
+            for lhs, rhs in pairs if i >= met else (pair,):
+                s = lhs | key & ~rhs
+                if key & ~s and s not in known and all(k & ~s for k in keys):
+                    keys.append(shrink(s))
+                    known.add(keys[-1])
+                    yield keys[-1]
+        met = len(keys)
 
 
 def _first_violation(lattice: _Lattice, scheme: RelationScheme, nonprime_only: bool):
@@ -258,40 +243,46 @@ def _first_violation(lattice: _Lattice, scheme: RelationScheme, nonprime_only: b
 
     With ``nonprime_only`` a determinant counts only when it determines a
     nonprime attribute of the scheme, and the dependents shrink to the
-    first such attribute: the definition of 3NF, checked directly.  The
-    primes are computed once, before the scan for a scheme that holds its
-    dependencies and otherwise at the first non-superkey determinant.
+    first such attribute: the definition of 3NF, checked directly.
 
-    A scheme that holds its dependencies is decided first from the
-    pairs alone: it violates iff some pair ``(V, W)`` with ``W - V``
-    holding an attribute (for 3NF a nonprime one) has a ``V`` that is
-    not a superkey.  If an implied ``X -> A`` violates, the pair that
-    first adds ``A`` to ``closure(X)`` has ``V`` inside ``closure(X)``,
-    so ``V`` is not a superkey, and ``A`` lies in ``W - V``; conversely
-    such a pair is itself a violation.  A scheme that satisfies the form
-    is answered without the scan, and one that violates it still scans,
-    so the witness is the same first violation either way.
+    A scheme that holds its dependencies, and every 3NF check, is first
+    decided from a cover of the scheme's own dependencies (see
+    :func:`_cover`): the scheme violates iff some pair ``(V, W)`` with
+    ``W - V`` holding an attribute (for 3NF a nonprime one) has a ``V``
+    that is not a superkey.  If an implied ``X -> A`` violates, the pair
+    that first adds ``A`` to the closure of ``X`` under the cover has
+    ``V`` inside ``closure(X)``, so ``V`` is not a superkey, and ``A``
+    lies in ``W - V``; conversely such a pair is itself a violation.
+    The primes are computed, from the same cover, only when some pair
+    with a ``V`` that is not a superkey adds an attribute.  A scheme
+    that satisfies the form is answered from the cover, and one that
+    violates it scans, so the witness is the same first violation
+    either way.  A narrower scheme's BCNF check only scans: its cover
+    would cost a whole scan before the scan that stops at the witness.
     """
     full = lattice.mask(scheme.attrs)
-    primes = None
-    if not lattice.used & ~full:
-        primes = _primes(lattice, full) if nonprime_only else 0
-        close = lattice.close
-        if all(not full & ~close(lhs) for lhs, rhs in lattice.pairs if rhs & ~lhs & ~primes):
+    primes = 0
+    if nonprime_only or not lattice.used & ~full:
+        cover = list(_cover(lattice, full))
+        added = 0  # the attributes the violating pairs add
+        for lhs, rhs in cover:
+            # a pair whose sides make up the scheme has a superkey on its left
+            if full & ~(lhs | rhs) and full & ~lattice.close(lhs):
+                added |= rhs & ~lhs
+        if added and nonprime_only:
+            for key in _lucchesi_osborn(lattice, full, cover):
+                primes |= key
+        if not added & ~primes:
             return None
     for s, closed, _ in lattice.scan(full):
         inside = closed & full
         if inside == s or inside == full:
             continue
-        dependents = inside & ~s
-        if nonprime_only:
-            if primes is None:
-                primes = _primes(lattice, full)
-            dependents &= ~primes
-            if not dependents:
-                continue
-            dependents &= -dependents
-        return lattice.attrs(s), lattice.attrs(dependents)
+        dependents = inside & ~s & ~primes
+        if dependents:
+            if nonprime_only:
+                dependents &= -dependents
+            return lattice.attrs(s), lattice.attrs(dependents)
     return None
 
 

@@ -308,8 +308,10 @@ def _require_within(attrs: AbstractSet, allowed: Collection, what: str) -> None:
 
 class _Lattice:
     """The subset lattices of the schemes inside ``sigma``'s universe, on
-    int masks, for the searches that close every subset of a scheme:
-    keys, BCNF and 3NF, and projection.
+    int masks, for the searches that close subsets of a scheme: the first
+    BCNF or 3NF witness, and the cover of a scheme's own dependencies
+    that projection, and the keys and 3NF verdict of a narrower scheme,
+    start from.
 
     Each attribute of ``sigma.universe`` owns one bit, in name order.
     The universe, not the scheme: a closure may pass through attributes
@@ -322,10 +324,10 @@ class _Lattice:
     masks.
 
     A scheme that holds its dependencies, one whose mask covers ``used``,
-    has ``sigma`` itself as a cover of its projected dependencies, so its
-    keys and its BCNF and 3NF verdicts are read from ``pairs`` without
-    the scan (see :mod:`fdkit.design`).  Projection, and every narrower
-    scheme, still scan.
+    has ``pairs`` as a cover of its own dependencies; any other scheme
+    has :meth:`cover`, built by one scan.  The scan's map of the
+    subsets one size smaller, ``prev``, is read only here, by
+    :meth:`cover`.
     """
 
     __slots__ = ("names", "bit", "pairs", "used", "waiting", "bottom")
@@ -377,26 +379,34 @@ class _Lattice:
         return closed
 
     def scan(self, full: int) -> Iterator[tuple]:
-        """Yield ``(s, closure(s), prev)`` for every subset ``s`` of the
-        scheme ``full`` that holds no superkey of ``full``, and for every
+        """Yield ``(s, closure(s), prev)`` for every free subset ``s`` of
+        the scheme ``full`` that holds no superkey of ``full``, for every
         superkey reached from such a subset by adding one bit above its
-        last one, in (size, canonical) order: smaller subsets first, and
-        subsets of one size in lexicographic name order, the order of
+        last one, and for some subsets that are not free, in (size,
+        canonical) order: smaller subsets first, and subsets of one size
+        in lexicographic name order, the order of
         ``itertools.combinations``.  This order fixes the witness each
-        search reports first.
+        search reports first.  A subset is free when no member lies in
+        the closure of the others.
 
         The subsets of one size are those of the size before, in their
         order, each extended by every scheme bit above its last one.
-        ``s`` is closed from the closure of ``s - last``: unchanged when
-        that already holds ``last``, and otherwise grown by firing only
-        the members that wait on newly reached bits.  A superkey is
-        yielded but never extended, so no proper superset of one is
-        closed.  No search can answer with such a superset: it is not
-        free, since each bit it adds lies in the closure of the rest, and
-        as a superkey it breaks no normal form.  ``prev`` maps every
-        subset of the size before that is not a superkey to its closure,
-        and holds no other subset, so a one-smaller subset missing from it
-        is a superkey.  Only two sizes are held at once.
+        ``s`` is closed from the closure of its base ``s - last`` by
+        firing only the members that wait on newly reached bits.  Two
+        kinds of subset are never extended, so none of their proper
+        supersets is closed.  A superkey is yielded first; as a superkey
+        it breaks no normal form.  A subset whose ``last`` already lies
+        in the closure of its base is not even yielded: it is not free,
+        and neither is any set holding it.  No search needs a subset
+        that is not free: keys are free; the first BCNF or 3NF witness
+        is free, since dropping a member the rest determine leaves a
+        smaller set with the same closure, which violates too and comes
+        first; and :meth:`cover` skips every candidate that is not free.
+
+        ``prev`` maps every subset of the size before that was yielded
+        and is not a superkey to its closure, and holds no other subset,
+        so a one-smaller subset missing from it is a superkey or not
+        free.  Only two sizes are held at once.
         """
         grow = self._grow
         bits = []
@@ -414,12 +424,61 @@ class _Lattice:
             cur = {}
             for base, closed in prev.items():
                 for last in above[base.bit_length()]:
+                    if closed & last:
+                        continue
                     s = base | last
-                    image = closed if closed & last else grow(closed | last, last)
+                    image = grow(closed | last, last)
                     if full & ~image:
                         cur[s] = image
                     yield s, image, prev
             prev = cur
+
+    def cover(self, full: int) -> Iterator[tuple]:
+        """Yield a cover of the dependencies of the scheme ``full``, as
+        it scans: the mask pairs ``(S, img(S) - S)``, where ``img(S)``
+        is ``closure(S) & full``, for the subsets ``S`` the scan yields,
+        in scan order, except those skipped below.  Each candidate ``S
+        -> img(S) - S`` is implied and lies inside the scheme, and the
+        candidates of every subset imply every dependency inside it; the
+        pairs kept imply the same, since sweeping them gives what
+        sweeping every candidate gives, as shown below.
+
+        A subset is skipped when its proper subsets already give its
+        image: ``img(S)`` lies inside ``S`` and the images of the ``S -
+        a``, read from the closures the scan holds in ``prev``.  A
+        missing ``S - a`` is a superkey or not free, and either way its
+        image is taken as all of ``full``.  Every ``S`` that is not
+        free, with an ``a`` in the closure of the rest, is skipped so:
+        ``S - a`` has the closure of ``S``, or is missing.  If ``S`` is
+        free, so is every ``S - a``, and a missing one is a superkey.
+
+        Skipping leaves unchanged what the greedy non-redundancy sweep
+        makes of the candidates of every subset in (size, canonical)
+        order; a subset the scan does not yield is not free, and counts
+        as skipped.  An ``S`` that is not free carries the image of that
+        ``S - a``.  The sweep would drop a free ``S`` that the test
+        skips: closing ``S - a`` never fires ``S``, which is free, so
+        the other candidates give each ``img(S - a)`` and with them
+        ``img(S)``.  Nor does ``S`` decide the fate of another candidate
+        ``T -> ...``.  ``S`` can fire in the closure of ``T`` only
+        inside ``img(T)``, and then ``T`` lies in no ``img(S - a)``, or
+        ``S`` would lie there too and not be free.  So the candidate
+        under test never fires while an ``S - a`` is closed, the others
+        give each ``img(S - a)`` without ``S`` or any other skipped
+        candidate (by induction on the size of the image, which shrinks
+        from ``S`` to ``S - a``), and ``S`` adds nothing.
+        """
+        for s, closed, prev in self.scan(full):
+            image = closed & full
+            if not image & ~s:
+                continue
+            given = rest = s
+            while rest and image & ~given:
+                b = rest & -rest
+                given |= prev.get(s ^ b, full)
+                rest ^= b
+            if image & ~given:
+                yield s, image & ~s
 
 
 class FDSet:

@@ -298,6 +298,22 @@ class TestLimitsAndEnvironment:
             code, _, _ = run(capsys, [*argv, "--schema", files["abcde.fd"]])
             assert code == 2
 
+    def test_negative_limit_is_a_usage_error(self, files, capsys, monkeypatch):
+        # a negative limit would refuse every search, so it is refused
+        # itself, as an invalid value is, whether or not the command searches
+        monkeypatch.delenv("FDKIT_LIMIT", raising=False)
+        for argv in (["keys", "--all"], ["keys"]):
+            code, out, err = run(capsys, [*argv, "--schema", files["abcde.fd"], "--limit", "-1"])
+            assert (code, out) == (2, "")
+            assert "invalid --limit value: -1" in err
+
+    def test_negative_env_limit_is_a_usage_error(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("FDKIT_LIMIT", "-1")
+        for argv in (["keys", "--all"], ["keys"]):
+            code, out, err = run(capsys, [*argv, "--schema", files["abcde.fd"]])
+            assert (code, out) == (2, "")
+            assert "invalid FDKIT_LIMIT value: '-1'" in err
+
     @pytest.mark.parametrize(
         "argv, kind, default",
         [

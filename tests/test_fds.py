@@ -38,7 +38,7 @@ from fdkit import (
     solve_hitting_set,
 )
 from fdkit import fds
-from fdkit.design import _keys, _lucchesi_osborn, _scanned_keys
+from fdkit.design import _lucchesi_osborn
 from fdkit.fds import _ClosureIndex, _Lattice
 
 from util import LETTERS, fd, fdset, random_fdset, random_subset
@@ -536,14 +536,18 @@ _SEEN = (
     "whole bcnf violates",
     "whole 3nf satisfies",
     "whole 3nf violates",
+    "narrower 3nf satisfies",
+    "narrower 3nf violates",
 )
 
 
 class TestLatticeScan:
-    """Keys, the first BCNF and 3NF witnesses and projection, all read
-    from one subset scan, against brute force over ``itertools`` order
-    and a plain fixpoint closure.  A scheme that holds its dependencies
-    ("whole") takes the path without the scan, and must agree too."""
+    """Keys, the first BCNF and 3NF witnesses and projection, read from
+    one subset scan or from a cover of a scheme's own dependencies,
+    against brute force over ``itertools`` order and a plain fixpoint
+    closure.  A scheme that holds its dependencies ("whole") has its
+    dependencies as that cover, and a narrower one a cover from the
+    scan; both must agree."""
 
     def _agree(self, schema, rng, seen):
         sigma = schema.global_fds()
@@ -556,8 +560,11 @@ class TestLatticeScan:
                 found = _plain_witness(fds, scheme.attrs, nonprime_only)
                 if found is not None:
                     expected.append((i, *found))
+                verdict = "satisfies" if found is None else "violates"
                 if mentioned <= scheme.attrs:
-                    seen[f"whole {report.form} {'satisfies' if found is None else 'violates'}"] += 1
+                    seen[f"whole {report.form} {verdict}"] += 1
+                elif nonprime_only:
+                    seen[f"narrower 3nf {verdict}"] += 1
             assert [(w.scheme_index, w.determinant, w.dependents) for w in report.witnesses] == expected
         for scheme in schema:
             x = scheme.attrs
@@ -642,7 +649,8 @@ class TestLatticeScan:
 
     def test_lucchesi_osborn_keys_match_the_scan(self):
         # every scheme here is its sigma's whole universe, so it holds its
-        # dependencies; the hitting-set reductions are adversarial inputs
+        # dependencies, and both its pairs and the scan's cover are covers
+        # of them; the hitting-set reductions are adversarial inputs
         rng = random.Random(47)
         cases = []
         for _ in range(200):
@@ -664,19 +672,21 @@ class TestLatticeScan:
         cases.append(FDSet([FD(pairs[i], pairs[i ^ 1]) for i in range(16)]))
         assert all(solvable), solvable
         empty_lhs = 0
+        widths = set()
         for sigma in cases:
             empty_lhs += any(not f.lhs for f in sigma)
             lattice = _Lattice(sigma)
             full = lattice.mask(sigma.universe)
-            found = list(_lucchesi_osborn(lattice, full))
+            found = list(_lucchesi_osborn(lattice, full, lattice.pairs))
             assert len(set(found)) == len(found)
-            assert list(_keys(lattice, full)) == found
-            assert sorted(found) == sorted(_scanned_keys(lattice, full))
-            if len(sigma.universe) <= 10:
+            assert sorted(found) == sorted(_lucchesi_osborn(lattice, full, lattice.cover(full)))
+            if len(sigma.universe) <= 12:
+                widths.add(len(sigma.universe))
                 plain = _plain_keys(sigma.fds, sigma.universe)
                 assert sorted(found) == sorted(lattice.mask(k) for k in plain)
         assert len(found) == 256  # the mutual pairs, the last case
         assert empty_lhs
+        assert widths == set(range(13))
 
     def test_whole_schemes_skip_the_scan(self, monkeypatch):
         # keys, primes and satisfied verdicts of a scheme that holds its
@@ -714,13 +724,15 @@ class TestLatticeScan:
             check_3nf(DatabaseSchema([RelationScheme(pool, chain)]))
 
     def test_scan_yields_each_superkey_free_subset_once_in_order(self):
-        # every subset that holds no superkey is yielded once, in (size,
-        # canonical) order, with its closure and the closures of all the
-        # non-superkeys one size smaller; the only superkeys yielded are
-        # those one bit above a yielded non-superkey, which are never
-        # extended
+        # the scan reaches a subset from its base, the subset without its
+        # last bit, and yields it when the base was yielded, is not a
+        # superkey and does not determine the last bit; so it yields
+        # every free subset that holds no superkey, once, in (size,
+        # canonical) order, with its closure and the closures of the
+        # stored subsets one size smaller: those yielded that are not
+        # superkeys
         rng = random.Random(41)
-        pruned = 0
+        pruned = unfree = 0
         for _ in range(300):
             n = rng.randint(0, 9)
             pool = [f"A{i}" for i in range(n)]
@@ -736,23 +748,65 @@ class TestLatticeScan:
                 for s in subsets
             }
             superkey = {s: not full & ~image for s, image in closure.items()}
+            bits = {s: [1 << i for i in positions if s >> i & 1] for s in closure}
+            free = {s: all(not closure[s ^ b] & b for b in bits[s]) for s in closure}
+            # each step of a subset's bits, lowest first, as (prefix, bit)
+            steps = {s: [(s & (b - 1), b) for b in bits[s]] for s in closure}
+            expected = {s for s in closure if all(not superkey[p] and not closure[p] & b for p, b in steps[s])}
+            stored = {s for s in expected if not superkey[s]}
             yielded = []
             checked = None
             for s, image, prev in lattice.scan(full):
                 assert image == closure[s]
                 if s:
-                    assert not superkey[s ^ 1 << (s.bit_length() - 1)], (sigma, lattice.attrs(s))
+                    top = 1 << (s.bit_length() - 1)
+                    assert not closure[s ^ top] & top, (sigma, lattice.attrs(s))
                 if prev is not checked:
                     size = bin(s).count("1")
-                    assert prev == {t: closure[t] for t in by_size[size - 1] if not superkey[t]} if size else not prev
+                    assert prev == {t: closure[t] for t in by_size[size - 1] if t in stored} if size else not prev
                     checked = prev
                 yielded.append(s)
-            once = set(yielded)
-            assert len(once) == len(yielded)
-            assert yielded == [s for subsets in by_size for s in subsets if s in once]
-            assert {s for s in closure if not superkey[s]} <= once
+            assert yielded == [s for subsets in by_size for s in subsets if s in expected]
+            assert {s for s in closure if free[s] and not superkey[s]} <= expected
             pruned += len(closure) - len(yielded)
-        assert pruned
+            unfree += sum(not free[s] for s in expected)
+        assert pruned and unfree
+
+    def test_narrower_schemes_scan_once(self, monkeypatch):
+        # a narrower scheme's keys and 3NF verdict come from the cover of
+        # one scan, even when a determinant is not a superkey; its BCNF
+        # check scans for the witness; is_prime reads the cover as the
+        # scan yields it, and stops both at the first key holding its
+        # attribute
+        scanned = []
+        scan = _Lattice.scan
+
+        def counted(self, full):
+            scanned.append([self.attrs(full), 0])
+            for item in scan(self, full):
+                scanned[-1][1] += 1
+                yield item
+
+        monkeypatch.setattr(_Lattice, "scan", counted)
+        sigma = fdset("A B -> C", "C -> B", "C -> D")
+        schema = DatabaseSchema(
+            [RelationScheme("A B C", sigma.fds[:2]), RelationScheme("C D", sigma.fds[2:])]
+        )
+        assert check_3nf(schema).satisfied
+        assert [s for s, _ in scanned] == [AttributeSet("A B C"), AttributeSet("C D")]
+        scanned.clear()
+        scheme = schema.schemes[0]
+        assert enumerate_keys(scheme, sigma) == {AttributeSet("A B"), AttributeSet("A C")}
+        assert scanned == [[AttributeSet("A B C"), 7]]  # 0, A, B, C, A B, A C, B C
+        scanned.clear()
+        # the first key, A C, needs no pair; A B comes with the pair A B -> C
+        assert is_prime(scheme, sigma, "A") and not scanned
+        assert is_prime(scheme, sigma, "B")
+        assert scanned == [[AttributeSet("A B C"), 5]]
+        scanned.clear()
+        report = check_bcnf(schema)
+        assert [(w.determinant, w.dependents) for w in report.witnesses] == [(AttributeSet("C"), AttributeSet("B"))]
+        assert [s for s, _ in scanned] == [AttributeSet("A B C"), AttributeSet("C D")]
 
     def test_projection_filter_keeps_the_unfiltered_sweep(self):
         # projection drops subset-implied candidates before its sweep;

@@ -6,7 +6,10 @@ instances.  Every subcommand runs on each input, plain and with
 ``--json``; a few runs add ``--limit 3`` or read a broken schema, so
 exit statuses 2 and 3 show up too.  A few wider schemas, of 9-12
 attributes, go through ``keys --all`` and ``check`` only, on a scheme
-that holds its dependencies and on a narrower one.  Prints one line per
+that holds its dependencies and on a narrower one.  What ``reduce``
+prints for each hitting-set instance goes through ``check`` and
+``keys --all`` on its target scheme: narrower schemes whose closures
+pass through attributes outside them.  Prints one line per
 invocation: the sha256 of its exit status, stdout and stderr, then its
 arguments.
 
@@ -107,6 +110,20 @@ def _write_instance(rng, k: int) -> str:
     return name
 
 
+def _write_reduction(instance: str, k: int) -> tuple:
+    """Write the schema ``reduce`` prints for ``instance`` to a file, with
+    the reserved names ``__C`` and ``__D``, which schema files may not
+    use, renamed ``C_`` and ``D_``; the attributes keep their name order.
+    Returns the file's name and the name of its target scheme, the last
+    one declared."""
+    _, text, _ = run(["reduce", instance])
+    text = text.replace("__C", "C_").replace("__D", "D_")
+    name = f"r{k}.fd"
+    Path(name).write_text(text)
+    target = [line for line in text.splitlines() if line.startswith("scheme ")][-1]
+    return name, target.split()[1].split("(")[0]
+
+
 def invocations() -> list:
     """Every argument list, in a fixed order; writes the input files into
     the current directory."""
@@ -152,6 +169,12 @@ def invocations() -> list:
     for k in range(INSTANCES):
         h = _write_instance(random.Random(1000 + k), k)
         out += [["hitting-set", h], ["reduce", h]]
+        r, target = _write_reduction(h, k)
+        out += [
+            ["check", "--nf", "3nf", "--schema", r],
+            ["check", "--nf", "bcnf", "--schema", r],
+            ["keys", "--all", "--scheme", target, "--schema", r],
+        ]
         if k < 5:
             out.append(["hitting-set", h, "--limit", "3"])
     Path("broken.fd").write_text("scheme S(A\n")
