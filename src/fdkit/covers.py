@@ -102,8 +102,10 @@ def project_fds(
     left sides that cannot change the sweep's output are skipped before
     it (see :meth:`~fdkit.fds._Lattice.cover`).
 
-    Exponential in ``len(x)`` by design; inputs beyond ``limit``
-    attributes are refused with :class:`LimitExceededError`.
+    Exponential by design in the number of attributes of ``x`` that are
+    some dependency's left side, the only ones whose subsets are
+    closed; inputs beyond ``limit`` attributes are refused with
+    :class:`LimitExceededError`.
     """
     x = AttributeSet(x)
     _require_within(x, sigma.universe, "projection attributes outside the universe")

@@ -146,8 +146,8 @@ def enumerate_keys(
     ``sigma``'s dependencies mention, has ``sigma`` itself as that
     cover.  Any other scheme gets one from a single subset scan (see
     :meth:`~fdkit.fds._Lattice.cover`), which is exponential in the
-    scheme's width.  Schemes beyond ``limit`` attributes are refused
-    either way.
+    number of the scheme's attributes that are some dependency's left
+    side.  Schemes beyond ``limit`` attributes are refused either way.
     """
     check_limit("key enumeration", len(scheme.attrs), limit)
     lattice = _Lattice(sigma)
@@ -305,8 +305,9 @@ def check_bcnf(schema: DatabaseSchema, limit: int = DEFAULT_SEARCH_LIMIT) -> Nor
     """Report whether every determinant of every scheme is a superkey.
 
     Implication runs against the schema's combined dependency set.  The
-    subset scan is exponential in scheme width (the question itself is
-    NP-complete), so schemes beyond ``limit`` attributes are refused.
+    subset scan is exponential in the number of the scheme's attributes
+    that are some dependency's left side (the question itself is
+    NP-complete), and schemes beyond ``limit`` attributes are refused.
     Each witness is the scheme's first non-superkey determinant in
     (size, canonical) subset order, with everything it determines there.
     """
@@ -379,8 +380,9 @@ def synthesize_3nf(
     are merged, exact duplicates collapse, and schemes whose attributes
     sit inside another scheme's are dropped (the key scheme included);
     ``verbatim=True`` skips all of that clean-up and returns the raw
-    per-dependency output.  Projection is exponential in scheme width, so
-    an emitted scheme beyond ``limit`` attributes is refused.
+    per-dependency output.  Projection is exponential in the number of a
+    scheme's attributes that are some dependency's left side, and an
+    emitted scheme beyond ``limit`` attributes is refused.
     """
     delta = nonredundant_cover(reduced_cover(canonical_cover(universal.fds)))
     key = find_key(universal, delta)

@@ -319,9 +319,10 @@ class _Lattice:
     into ``(lhs, rhs)`` mask pairs, kept in order in ``pairs`` and listed
     under each bit of their left side, and every scheme scanned reuses
     them; pairs with an empty left side seed the closure of the empty
-    set.  ``used`` is the union of the bits the pairs mention.
-    :meth:`mask` and :meth:`attrs` convert between attribute sets and
-    masks.
+    set.  ``used`` is the union of the bits the pairs mention, and
+    ``left`` the union of their left-side bits: the only bits that fire
+    anything, and the only ones :meth:`scan` walks.  :meth:`mask` and
+    :meth:`attrs` convert between attribute sets and masks.
 
     A scheme that holds its dependencies, one whose mask covers ``used``,
     has ``pairs`` as a cover of its own dependencies; any other scheme
@@ -330,7 +331,7 @@ class _Lattice:
     :meth:`cover`.
     """
 
-    __slots__ = ("names", "bit", "pairs", "used", "waiting", "bottom")
+    __slots__ = ("names", "bit", "pairs", "used", "left", "waiting", "bottom")
 
     def __init__(self, sigma: "FDSet"):
         self.names = tuple(sigma.universe)
@@ -348,6 +349,7 @@ class _Lattice:
             for a in _members(fd.lhs):
                 self.waiting.setdefault(bit[a], []).append((lhs, rhs))
         self.used = used
+        self.left = sum(self.waiting)
         self.bottom = self._grow(bottom, bottom)
 
     def mask(self, attrs: AttributeSet) -> int:
@@ -379,35 +381,56 @@ class _Lattice:
         return closed
 
     def scan(self, full: int) -> Iterator[tuple]:
-        """Yield ``(s, closure(s), prev)`` for every free subset ``s`` of
-        the scheme ``full`` that holds no superkey of ``full``, for every
-        superkey reached from such a subset by adding one bit above its
-        last one, and for some subsets that are not free, in (size,
-        canonical) order: smaller subsets first, and subsets of one size
-        in lexicographic name order, the order of
+        """Yield ``(s, closure(s), prev)`` for the subsets ``s`` of
+        ``full & left``, the bits of the scheme ``full`` that are some
+        left side: every free one whose closure does not cover ``full &
+        left``, every one whose closure does that is reached from such a
+        subset by adding one bit above its last one, and some that are
+        not free, in (size, canonical) order: smaller subsets first, and
+        subsets of one size in lexicographic name order, the order of
         ``itertools.combinations``.  This order fixes the witness each
         search reports first.  A subset is free when no member lies in
         the closure of the others.
 
         The subsets of one size are those of the size before, in their
-        order, each extended by every scheme bit above its last one.
-        ``s`` is closed from the closure of its base ``s - last`` by
-        firing only the members that wait on newly reached bits.  Two
-        kinds of subset are never extended, so none of their proper
-        supersets is closed.  A superkey is yielded first; as a superkey
-        it breaks no normal form.  A subset whose ``last`` already lies
-        in the closure of its base is not even yielded: it is not free,
-        and neither is any set holding it.  No search needs a subset
-        that is not free: keys are free; the first BCNF or 3NF witness
-        is free, since dropping a member the rest determine leaves a
-        smaller set with the same closure, which violates too and comes
-        first; and :meth:`cover` skips every candidate that is not free.
+        order, each extended by every bit of ``full & left`` above its
+        last one.  ``s`` is closed from the closure of its base ``s -
+        last`` by firing only the members that wait on newly reached
+        bits.  Two kinds of subset are never extended, so none of their
+        proper supersets is closed.  A subset whose closure covers
+        ``full & left`` is yielded, but not extended (see Pruning
+        below).  A subset whose ``last`` already lies in the closure of
+        its base is not even yielded: it is not free, and neither is any
+        set holding it.  No search needs a subset that is not free: keys
+        are free; the first BCNF or 3NF witness is free, since dropping a
+        member the rest determine leaves a smaller set with the same
+        closure, which violates too and comes first; and :meth:`cover`
+        skips every candidate that is not free.
+
+        Leaving out the bits that are no left side changes no answer.
+        Such a bit ``a`` fires nothing, so ``closure(S) = closure(S - a)
+        | a`` for every ``S`` holding it.
+
+        * First witness.  If ``S`` holds ``a`` and violates, then ``S -
+          a`` is no superkey, determines every dependent of ``S``, so
+          violates too, and comes first.
+        * Cover.  ``img(S) = img(S - a) | a``, so the filter in
+          :meth:`cover` skipped ``S`` already.
+        * Pruning.  If ``closure(P)`` covers ``full & left``, every
+          larger ``T`` inside ``full & left`` lies inside ``closure(P)``
+          and so has ``P``'s closure: ``P`` comes first as a witness, and
+          ``T``'s candidate carries ``P``'s image.
+        * Keys.  Lucchesi and Osborn's search reads only the cover,
+          which is still a cover.
 
         ``prev`` maps every subset of the size before that was yielded
-        and is not a superkey to its closure, and holds no other subset,
-        so a one-smaller subset missing from it is a superkey or not
-        free.  Only two sizes are held at once.
+        and whose closure does not cover ``full & left`` to its
+        closure, and holds no other subset, so a one-smaller subset
+        missing from it is a superkey, or has a closure that covers
+        ``full & left``, or is not free.  Only two sizes are held at
+        once.
         """
+        full &= self.left
         grow = self._grow
         bits = []
         rest = full
@@ -446,17 +469,23 @@ class _Lattice:
         A subset is skipped when its proper subsets already give its
         image: ``img(S)`` lies inside ``S`` and the images of the ``S -
         a``, read from the closures the scan holds in ``prev``.  A
-        missing ``S - a`` is a superkey or not free, and either way its
-        image is taken as all of ``full``.  Every ``S`` that is not
-        free, with an ``a`` in the closure of the rest, is skipped so:
-        ``S - a`` has the closure of ``S``, or is missing.  If ``S`` is
-        free, so is every ``S - a``, and a missing one is a superkey.
+        missing ``S - a`` is a superkey, has a closure that covers ``full
+        & left``, or is not free, and its image is taken as all of
+        ``full``: the scheme's own mask, not the scan's ``full & left``.
+        That only ever skips an ``S`` that is not free, which is sound
+        (below): ``S`` lies inside ``full & left``, so in the first two
+        cases ``S - a`` determines ``a``, and in the third ``S`` holds a
+        set that is not free.  Every ``S`` that is not free, with an
+        ``a`` in the closure of the rest, is skipped so: ``S - a`` has
+        the closure of ``S``, or is missing.  If ``S`` is free, so is
+        every ``S - a``, and none is missing.
 
         Skipping leaves unchanged what the greedy non-redundancy sweep
         makes of the candidates of every subset in (size, canonical)
-        order; a subset the scan does not yield is not free, and counts
-        as skipped.  An ``S`` that is not free carries the image of that
-        ``S - a``.  The sweep would drop a free ``S`` that the test
+        order; a subset the scan does not yield is not free, or holds a
+        bit that is no left side, which this test would skip (see
+        :meth:`scan`), and counts as skipped.  An ``S`` that is not free
+        carries the image of that ``S - a``.  The sweep would drop a free ``S`` that the test
         skips: closing ``S - a`` never fires ``S``, which is free, so
         the other candidates give each ``img(S - a)`` and with them
         ``img(S)``.  Nor does ``S`` decide the fate of another candidate

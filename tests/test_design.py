@@ -354,6 +354,15 @@ class TestSynthesize3nf:
         with pytest.raises(LimitExceededError):
             synthesize_3nf(uni, limit=4)
 
+    def test_wide_star_within_a_raised_limit_is_one_scheme(self):
+        # only A00 is a left side, so projecting onto all 40 attributes
+        # scans two subsets, not the 2^39 without A00
+        attrs = [f"A{i:02d}" for i in range(40)]
+        star = FDSet([FD(attrs[:1], attrs[1:])])
+        out = synthesize_3nf(RelationScheme(attrs, star), limit=40)
+        assert [s.attrs for s in out.schemes] == [AttributeSet(attrs)]
+        assert out.schemes[0].fds == star
+
     def test_output_invariants_on_random_inputs(self):
         rng = random.Random(36)
         for _ in range(50):

@@ -724,36 +724,43 @@ class TestLatticeScan:
             check_3nf(DatabaseSchema([RelationScheme(pool, chain)]))
 
     def test_scan_yields_each_superkey_free_subset_once_in_order(self):
-        # the scan reaches a subset from its base, the subset without its
-        # last bit, and yields it when the base was yielded, is not a
-        # superkey and does not determine the last bit; so it yields
-        # every free subset that holds no superkey, once, in (size,
-        # canonical) order, with its closure and the closures of the
-        # stored subsets one size smaller: those yielded that are not
-        # superkeys
+        # the scan walks only the scheme bits that are some left side,
+        # "left"; it reaches a subset from its base, the subset without
+        # its last bit, and yields it when the base was yielded, its
+        # closure does not cover left and it does not determine the last
+        # bit; so it yields every free subset of left whose closure does
+        # not cover left, once, in (size, canonical) order, with its
+        # closure and the closures of the stored subsets one size
+        # smaller: those yielded whose closures do not cover left
         rng = random.Random(41)
-        pruned = unfree = 0
-        for _ in range(300):
+        pruned = unfree = idle = empty = 0
+        for case in range(400):
             n = rng.randint(0, 9)
             pool = [f"A{i}" for i in range(n)]
             fds = [FD(_random_sides(rng, pool, n), _random_sides(rng, pool, n)) for _ in range(rng.randint(0, 2 * n))]
+            if case % 8 == 0 and n:
+                fds.append(FD((), rng.sample(pool, rng.randint(1, n))))
             sigma = FDSet(fds, universe=pool)
             lattice = _Lattice(sigma)
+            assert lattice.left == lattice.mask(AttributeSet([a for f in sigma.fds for a in f.lhs]))
             full = lattice.mask(AttributeSet(rng.sample(pool, rng.randint(0, n))))
-            positions = [i for i in range(n) if full >> i & 1]
+            left = full & lattice.left
+            idle += bool(full & ~left)
+            empty += any(not f.lhs for f in sigma.fds)
+            positions = [i for i in range(n) if left >> i & 1]
             by_size = [[sum(1 << i for i in c) for c in combinations(positions, k)] for k in range(len(positions) + 1)]
             closure = {
                 s: lattice.mask(AttributeSet(_plain_closure(sigma.fds, lattice.attrs(s))))
                 for subsets in by_size
                 for s in subsets
             }
-            superkey = {s: not full & ~image for s, image in closure.items()}
+            covering = {s: not left & ~image for s, image in closure.items()}
             bits = {s: [1 << i for i in positions if s >> i & 1] for s in closure}
             free = {s: all(not closure[s ^ b] & b for b in bits[s]) for s in closure}
             # each step of a subset's bits, lowest first, as (prefix, bit)
             steps = {s: [(s & (b - 1), b) for b in bits[s]] for s in closure}
-            expected = {s for s in closure if all(not superkey[p] and not closure[p] & b for p, b in steps[s])}
-            stored = {s for s in expected if not superkey[s]}
+            expected = {s for s in closure if all(not covering[p] and not closure[p] & b for p, b in steps[s])}
+            stored = {s for s in expected if not covering[s]}
             yielded = []
             checked = None
             for s, image, prev in lattice.scan(full):
@@ -767,10 +774,29 @@ class TestLatticeScan:
                     checked = prev
                 yielded.append(s)
             assert yielded == [s for subsets in by_size for s in subsets if s in expected]
-            assert {s for s in closure if free[s] and not superkey[s]} <= expected
+            assert {s for s in closure if free[s] and not covering[s]} <= expected
             pruned += len(closure) - len(yielded)
             unfree += sum(not free[s] for s in expected)
-        assert pruned and unfree
+        assert pruned and unfree and idle and empty
+
+    def test_scan_never_holds_a_bit_that_is_no_left_side(self):
+        # k attributes that are no left side, some right sides and some
+        # unmentioned, change neither the subsets the scan yields nor
+        # their number; at k = 30 a walk over every scheme bit would
+        # yield each of the 2^15 subsets of the unmentioned ones alone
+        core = ["L0", "L1", "L2", "L3", "L4"]
+        ring = [FD(a, b) for a, b in zip(core[:3], core[1:4])] + [FD("L3 L4", "L0")]
+        counts = []
+        for k in (0, 1, 4, 30):
+            idle = [f"X{i:02d}" for i in range(k)]
+            fds = ring + [FD(core[i % 5 : i % 5 + 2], x) for i, x in enumerate(idle[::2])]
+            sigma = FDSet(fds, universe=core + idle)
+            lattice = _Lattice(sigma)
+            away = lattice.mask(AttributeSet(idle))
+            yielded = [s for s, _, _ in lattice.scan(lattice.mask(sigma.universe))]
+            assert not any(s & away for s in yielded)
+            counts.append(len(yielded))
+        assert len(set(counts)) == 1 and counts[0] > 1
 
     def test_narrower_schemes_scan_once(self, monkeypatch):
         # a narrower scheme's keys and 3NF verdict come from the cover of

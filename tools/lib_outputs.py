@@ -1,0 +1,130 @@
+"""Fingerprint what fdkit's design and cover functions return on a fixed
+set of inputs.
+
+Imports fdkit from the ``src`` directory of the checkout this file lives
+in and calls its public functions over seeded random schemas and the
+schemas of seeded hitting-set reductions.  Each random schema has 1-11
+attributes, now and then a dependency with an empty left or right side,
+and two random narrower schemes beside the whole one.  Each reduction's
+schemes are narrower schemes whose closures pass through attributes
+outside them.  Each function family (keys, every ``is_prime``,
+``find_key``, the projection onto every scheme, both checks, both
+decompositions and the four covers) is hashed on its own.  Prints one
+line per family: the sha256 of every answer it gave, in order, then the
+family's name and the number of calls.
+
+Run it in two checkouts and diff the two outputs to see which families a
+change touches.  Running it twice under different ``PYTHONHASHSEED``
+values checks that every answer is deterministic.  Exits 1 if any call
+raises.
+
+Usage: python tools/lib_outputs.py
+"""
+
+import hashlib
+import random
+import sys
+from functools import partial
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from fdkit import (  # noqa: E402
+    FD,
+    AttributeSet,
+    DatabaseSchema,
+    FDSet,
+    HittingSetInstance,
+    RelationScheme,
+    bcnf_decompose,
+    canonical_cover,
+    check_3nf,
+    check_bcnf,
+    enumerate_keys,
+    find_key,
+    is_prime,
+    minimum_cover,
+    nonredundant_cover,
+    project_fds,
+    reduce_to_schema,
+    reduced_cover,
+    synthesize_3nf,
+)
+
+SCHEMAS = 3000
+INSTANCES = 200
+WIDTH = 11
+
+
+def _side(rng, pool, low):
+    return rng.sample(pool, rng.randint(low, min(3, len(pool))))
+
+
+def random_schema(rng) -> DatabaseSchema:
+    """The whole scheme of a random dependency set, then two narrower
+    schemes that carry no dependencies of their own."""
+    pool = [f"A{i:02d}" for i in range(rng.randint(1, WIDTH))]
+    fds = [
+        FD(_side(rng, pool, 0 if rng.random() < 0.05 else 1), _side(rng, pool, 0))
+        for _ in range(rng.randint(0, 2 * len(pool)))
+    ]
+    sigma = FDSet(fds, universe=pool)
+    narrower = [RelationScheme(rng.sample(pool, rng.randint(1, len(pool))), ()) for _ in range(2)]
+    return DatabaseSchema([RelationScheme(pool, sigma), *narrower])
+
+
+def random_reduction(rng) -> DatabaseSchema:
+    ground = tuple(f"p{i}" for i in range(1, rng.randint(1, 8) + 1))
+    subsets = tuple(tuple(_side(rng, list(ground), 1)) for _ in range(rng.randint(1, 5)))
+    return reduce_to_schema(HittingSetInstance(ground, subsets))
+
+
+def _text(value) -> str:
+    """A text for ``value`` that does not depend on hash order."""
+    if isinstance(value, frozenset) and not isinstance(value, AttributeSet):
+        return repr(sorted(map(str, value)))
+    return repr(value)
+
+
+def families(schema: DatabaseSchema):
+    """Every (family, call) pair asked of ``schema``, in a fixed order."""
+    sigma = schema.global_fds()
+    for scheme in schema:
+        yield "enumerate_keys", partial(enumerate_keys, scheme, sigma)
+        yield "find_key", partial(find_key, scheme, sigma)
+        yield "project_fds", partial(project_fds, sigma, scheme.attrs)
+        for a in scheme.attrs:
+            yield "is_prime", partial(is_prime, scheme, sigma, a)
+    yield "check_bcnf", partial(check_bcnf, schema)
+    yield "check_3nf", partial(check_3nf, schema)
+    yield "bcnf_decompose", partial(bcnf_decompose, schema)
+    universal = RelationScheme(sigma.universe, sigma)
+    yield "synthesize_3nf", partial(synthesize_3nf, universal)
+    yield "synthesize_3nf verbatim", partial(synthesize_3nf, universal, verbatim=True)
+    for cover in (minimum_cover, canonical_cover, reduced_cover, nonredundant_cover):
+        yield cover.__name__, partial(cover, sigma)
+
+
+def main() -> int:
+    digests: dict = {}
+    calls: dict = {}
+    failed = 0
+    schemas = [random_schema(random.Random(k)) for k in range(SCHEMAS)]
+    schemas += [random_reduction(random.Random(5000 + k)) for k in range(INSTANCES)]
+    for k, schema in enumerate(schemas):
+        for name, call in families(schema):
+            try:
+                answer = _text(call())
+            except Exception as exc:
+                failed += 1
+                answer = f"RAISED {type(exc).__name__}: {exc}"
+                print(f"RAISED {type(exc).__name__} in {name} of schema {k}", file=sys.stderr)
+            digests.setdefault(name, hashlib.sha256()).update(answer.encode() + b"\n")
+            calls[name] = calls.get(name, 0) + 1
+    for name, digest in digests.items():
+        print(f"{digest.hexdigest()}  {name}  ({calls[name]} calls)")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
