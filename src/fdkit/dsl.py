@@ -25,7 +25,7 @@ import re
 from typing import Optional
 
 from .fds import FD, Attribute, AttributeSet, DatabaseSchema, FDSet, RelationScheme, _Record
-from .fds import _NAME, _SPLIT, _require_within, _split
+from .fds import _INTERNED, _NAME, _SPLIT, _attrset, _mentioned, _require_within, _split
 
 __all__ = [
     "Diagnostic",
@@ -134,12 +134,16 @@ def _column(text: str, start: int, i: int) -> int:
 
 
 class _Parser:
+    """One document's parse.  ``lists`` maps each valid list text met so
+    far to its attribute set, so a text repeated on many lines is split
+    and resolved once; it lives as long as the parser, one document."""
+
     def __init__(self):
         self.diagnostics: list = []
-        self.scheme_decls: list = []  # (name, [Attribute], line)
-        self.fd_decls: list = []  # (FD, line)
-        self.universe_decl: Optional[tuple] = None  # ([Attribute], line)
-        self.seen_fds: set = set()
+        self.scheme_decls: list = []  # (name, AttributeSet, line)
+        self.fd_decls: dict = {}  # FD -> the line it first appears on
+        self.universe_decl: Optional[tuple] = None  # (AttributeSet, line)
+        self.lists: dict = {}
 
     def error(self, line: int, column: int, code: str, message: str) -> None:
         self.diagnostics.append(Diagnostic("error", line, column, code, message))
@@ -147,21 +151,32 @@ class _Parser:
     def warn(self, line: int, column: int, code: str, message: str) -> None:
         self.diagnostics.append(Diagnostic("warning", line, column, code, message))
 
-    def attr_list(self, text: str, start: int, lineno: int) -> Optional[list]:
-        out = []
-        for i, name in enumerate(_split(text)):
-            try:
-                attr = Attribute(name)
-            except ValueError:
+    def attr_list(self, text: str, start: int, lineno: int) -> Optional[AttributeSet]:
+        """The attributes of the list ``text``, which begins at offset
+        ``start`` of line ``lineno``, or ``None`` once its first invalid
+        or reserved name is reported."""
+        out = self.lists.get(text)
+        if out is not None:
+            return out
+        names = _split(text)
+        try:
+            out = _attrset([_INTERNED.get(name) or Attribute(name) for name in names])
+        except ValueError:
+            pass
+        # ``out.isdisjoint``, not the reverse: an AttributeSet argument
+        # would be iterated in sorted order
+        if out is not None and out.isdisjoint(RESERVED_NAMES):
+            self.lists[text] = out
+            return out
+        for i, name in enumerate(names):
+            if not _NAME.match(name):
                 self.error(lineno, _column(text, start, i), "E110", f"invalid identifier: {name!r}")
                 return None
-            if attr in RESERVED_NAMES:
+            if name in RESERVED_NAMES:
                 self.error(
                     lineno, _column(text, start, i), "E111", f"reserved attribute name: {name}"
                 )
                 return None
-            out.append(attr)
-        return out
 
     def parse_line(self, raw: str, lineno: int) -> None:
         line = raw.split("#", 1)[0].strip()
@@ -221,11 +236,8 @@ class _Parser:
         if not rhs:
             self.warn(lineno, 1, "W200", "vacuous dependency: empty right side")
         fd = FD(lhs, rhs)
-        if fd in self.seen_fds:
+        if self.fd_decls.setdefault(fd, lineno) != lineno:
             self.warn(lineno, 1, "W201", f"duplicate dependency dropped: {fd}")
-            return
-        self.seen_fds.add(fd)
-        self.fd_decls.append((fd, lineno))
 
     def parse_universe(self, line: str, lead: int, lineno: int) -> None:
         if self.universe_decl is not None:
@@ -255,8 +267,9 @@ def parse_schema(text: str) -> ParseResult:
         declared.update(attrs)
     if parser.universe_decl is not None:
         declared.update(parser.universe_decl[0])
-    if declared:
-        for fd, lineno in parser.fd_decls:
+    fds = parser.fd_decls
+    if declared and not declared.issuperset(_mentioned(fds)):
+        for fd, lineno in fds.items():
             for a in sorted(fd.lhs.union(fd.rhs).difference(declared)):
                 parser.error(
                     lineno,
@@ -268,19 +281,18 @@ def parse_schema(text: str) -> ParseResult:
     if any(d.severity == "error" for d in diagnostics):
         return ParseResult(None, diagnostics)
 
-    sigma = FDSet([fd for fd, _ in parser.fd_decls], universe=declared or None)
+    sigma = FDSet(fds, universe=declared or None)
     schemes = []
     for name, attrs, _ in parser.scheme_decls:
-        attr_set = AttributeSet(attrs)
-        local = [fd for fd in sigma if fd.lhs <= attr_set and fd.rhs <= attr_set]
-        schemes.append(RelationScheme(attr_set, FDSet(local, universe=attr_set), name=name))
+        local = [fd for fd in sigma if fd.lhs <= attrs and fd.rhs <= attrs]
+        schemes.append(RelationScheme(attrs, FDSet(local, universe=attrs), name=name))
     document = SchemaDocument(
         schemes=tuple(schemes),
         fds=sigma,
         universe=sigma.universe,
         explicit_universe=parser.universe_decl is not None,
         scheme_lines=tuple(line for _, _, line in parser.scheme_decls),
-        fd_lines=tuple(line for _, line in parser.fd_decls),
+        fd_lines=tuple(fds.values()),
         universe_line=parser.universe_decl[1] if parser.universe_decl else None,
     )
     return ParseResult(document, diagnostics)
@@ -303,7 +315,7 @@ def parse_fd_text(text: str, universe: Optional[AttributeSet] = None) -> FD:
     parser.parse_fd("fd " + text, 0, 1)
     if not parser.fd_decls:
         raise ValueError(parser.diagnostics[0].message)
-    fd = parser.fd_decls[0][0]
+    (fd,) = parser.fd_decls
     if universe is not None:
         _require_within(fd.attributes, AttributeSet(universe), "attributes outside the universe")
     return fd

@@ -119,6 +119,12 @@ class AttributeSet(frozenset):
     ``intersection``, ``difference`` and ``copy`` are those of
     ``frozenset`` and return plain, unordered frozensets.  The set may be
     empty.
+
+    A ``frozenset`` method given an attribute set as its argument, such
+    as ``frozenset.isdisjoint``, iterates it through :meth:`__iter__` and
+    so sorts it once; call the method on the attribute set instead, as
+    in ``attrs.isdisjoint(names)``, and the plain argument is probed
+    unsorted.
     """
 
     __slots__ = ("_ordered",)
@@ -175,6 +181,11 @@ def _attrset(members: Iterable[Attribute]) -> AttributeSet:
     return out
 
 
+def _mentioned(fds: Collection["FD"]) -> frozenset:
+    """Every attribute on either side of some member of ``fds``."""
+    return frozenset().union(*(fd.lhs for fd in fds), *(fd.rhs for fd in fds))
+
+
 class FD:
     """One dependency ``lhs -> rhs``.
 
@@ -220,8 +231,9 @@ class _ClosureIndex:
     reached attributes through ``waiting``, and fires a member when its
     counter reaches zero.  Each member fires at most once, so beyond the
     copy of the counters the cost is linear in the size of the members it
-    touches plus the seed.  The sides are read from the dependencies
-    themselves: the index holds no copy of them.
+    touches plus the seed.  ``rhs[i]`` holds the right side of member
+    ``i`` as a tuple, built with ``waiting``, so a firing walks it
+    without reading the dependency or iterating an attribute set.
 
     The only change an index ever sees is :meth:`sweep`, which marks
     dropped members dead with a count of ``-1``, which never reaches
@@ -229,14 +241,16 @@ class _ClosureIndex:
     caches is never changed.
     """
 
-    __slots__ = ("fds", "need", "waiting", "free")
+    __slots__ = ("fds", "need", "rhs", "waiting", "free")
 
     def __init__(self, fds: Sequence[FD]):
         self.fds = fds
         self.need = [len(fd.lhs) or 1 for fd in fds]
+        self.rhs = []
         self.waiting: dict = {}
         self.free = [i for i, fd in enumerate(fds) if not fd.lhs]
         for i, fd in enumerate(fds):
+            self.rhs.append(tuple(_members(fd.rhs)))
             for a in _members(fd.lhs):
                 self.waiting.setdefault(a, []).append(i)
 
@@ -279,12 +293,12 @@ class _ClosureIndex:
             queue.append(self.free)
         if queue:
             count = self.need[:]
-            fds = self.fds
+            rhs = self.rhs
             while queue:
                 for i in queue.pop():
                     count[i] -= 1
                     if not count[i]:
-                        for b in _members(fds[i].rhs):
+                        for b in rhs[i]:
                             if b not in reached:
                                 reached.add(b)
                                 if b in left:
@@ -514,10 +528,12 @@ class FDSet:
     """An ordered, duplicate-free collection of dependencies over a universe.
 
     Insertion order is preserved (the cover algorithms scan in collection
-    order) and structural duplicates are dropped on construction.  When no
-    universe is given it defaults to the union of the dependencies'
-    attributes; an explicit universe must contain every mentioned
-    attribute.
+    order) and structural duplicates are dropped on construction: every
+    member is checked to be an :class:`FD` first, then one
+    ``dict.fromkeys`` keeps each first occurrence, hashing each member
+    once.  When no universe is given it defaults to the union of the
+    dependencies' attributes; an explicit universe must contain every
+    mentioned attribute.
 
     Closure, implication and equivalence all ask one
     :class:`_ClosureIndex`, built on the first such question and kept for
@@ -532,19 +548,13 @@ class FDSet:
     __slots__ = ("_fds", "_universe", "_index")
 
     def __init__(self, fds: Iterable[FD] = (), universe: AttrsLike | None = None):
-        kept = []
-        seen = set()
+        fds = tuple(fds)
         for fd in fds:
             if not isinstance(fd, FD):
                 raise TypeError(f"expected FD, got {type(fd).__name__}")
-            if fd not in seen:
-                seen.add(fd)
-                kept.append(fd)
-        self._fds = tuple(kept)
+        self._fds = tuple(dict.fromkeys(fds))
         self._index = None
-        mentioned = _attrset(
-            frozenset().union(*(fd.lhs for fd in kept), *(fd.rhs for fd in kept))
-        )
+        mentioned = _attrset(_mentioned(self._fds))
         if universe is None:
             self._universe = mentioned
         else:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from collections import Counter
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -296,43 +297,46 @@ def _relation(attrs: tuple, tuples: Iterable[tuple], cls: type = Relation) -> Re
 _UNIT = ((), ((),))
 
 
+def _shared_keys(lattrs: tuple, rattrs: tuple) -> tuple:
+    """The pickers of the attributes two tables share, in ``rattrs``
+    order: the one for ``lattrs`` tuples, then the one for ``rattrs``
+    tuples."""
+    shared = [a for a in rattrs if a in lattrs]
+    return _picker(lattrs, shared), _picker(rattrs, shared)
+
+
 def _hash_join(left: tuple, right: tuple) -> tuple:
     """One step of the natural join of two tables, ``(attrs, tuples)``
-    pairs whose tuples are distinct, left unbuilt.
+    pairs whose tuples are distinct.
 
     Indexes ``right`` on the attributes it shares with ``left`` and
     returns the result's attributes, ``left``'s followed by the rest of
-    ``right``'s, and a lazy sequence of ``(t, rests)``: each tuple ``t``
-    of ``left`` with the list of the rest-values of the ``right`` tuples
-    that agree with it.  The result's tuples are the ``t + r`` for ``r``
-    in ``rests``, all distinct, so their number is the sum of the
-    lengths of the lists.
+    ``right``'s, and a lazy iterator of the result's tuples, all
+    distinct: each tuple of ``left`` followed by the rest-values of each
+    ``right`` tuple that agrees with it.
     """
     lattrs, ltuples = left
     rattrs, rtuples = right
-    shared = [a for a in rattrs if a in lattrs]
+    lkey, rkey = _shared_keys(lattrs, rattrs)
     rest = tuple(a for a in rattrs if a not in lattrs)
-    rkey = _picker(rattrs, shared)
     rrest = _picker(rattrs, rest)
     index: dict = {}
     for values in rtuples:
         index.setdefault(rkey(values), []).append(rrest(values))
-    lkey = _picker(lattrs, shared)
-    return lattrs + rest, ((values, index.get(lkey(values), ())) for values in ltuples)
+    return lattrs + rest, (t + r for t in ltuples for r in index.get(lkey(t), ()))
 
 
 def _join_to_last(tables: Sequence[tuple]) -> tuple:
-    """Join ``tables`` left to right, building every step but the last,
-    which is returned unbuilt as :func:`_hash_join` gives it.  The first
-    table is the left side of the first step; a lone table is joined to
-    the identity, so that its one step too is returned unbuilt."""
+    """Join every table but the last, left to right, and return that
+    join and the last table, for the last step to be built or counted.
+    A lone table is returned beside the identity of the join."""
     if not tables:
         raise ValueError("join requires at least one relation")
     acc = tables[0] if len(tables) > 1 else _UNIT
     for table in tables[1:-1]:
-        attrs, matches = _hash_join(acc, table)
-        acc = attrs, [t + r for t, rests in matches for r in rests]
-    return _hash_join(acc, tables[-1])
+        attrs, tuples = _hash_join(acc, table)
+        acc = attrs, list(tuples)
+    return acc, tables[-1]
 
 
 def join(relations: Sequence[Relation]) -> Relation:
@@ -343,8 +347,8 @@ def join(relations: Sequence[Relation]) -> Relation:
     result is independent of the order.  Disjoint schemes produce a full
     cross product.
     """
-    attrs, matches = _join_to_last([rel._table(rel.scheme) for rel in relations])
-    return _relation(attrs, (t + r for t, rests in matches for r in rests))
+    attrs, tuples = _hash_join(*_join_to_last([rel._table(rel.scheme) for rel in relations]))
+    return _relation(attrs, tuples)
 
 
 def is_lossless_on(instance: Relation, parts: Sequence[AttrsLike]) -> bool:
@@ -357,8 +361,9 @@ def is_lossless_on(instance: Relation, parts: Sequence[AttrsLike]) -> bool:
 
     Since the join contains the instance, it equals the instance exactly
     when it has no more rows.  So the last step of the join is counted,
-    not built, and the count stops as soon as it exceeds
-    ``len(instance)``; the answer is exact.
+    not built: each tuple of the join before it adds the number of tuples
+    of the last part that agree with it, and the count stops as soon as
+    it exceeds ``len(instance)``; the answer is exact.
     """
     parts = [AttributeSet(p) for p in parts]
     union = _attrset(frozenset().union(*parts))
@@ -366,10 +371,12 @@ def is_lossless_on(instance: Relation, parts: Sequence[AttrsLike]) -> bool:
         raise CoverageError(
             f"parts cover {union}, expected the full scheme {instance.scheme}"
         )
-    _, matches = _join_to_last([instance._table(p) for p in parts])
+    (lattrs, ltuples), (rattrs, rtuples) = _join_to_last([instance._table(p) for p in parts])
+    lkey, rkey = _shared_keys(lattrs, rattrs)
+    matches = Counter(map(rkey, rtuples)).get
     size, limit = 0, len(instance)
-    for _, rests in matches:
-        size += len(rests)
+    for values in ltuples:
+        size += matches(lkey(values), 0)
         if size > limit:
             return False
     return True

@@ -1,9 +1,15 @@
 """Schema language parsing, diagnostics, and rendering."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fdkit
 from fdkit import AttributeSet, UnknownAttributeError, parse_fd_text, parse_schema
 
 from util import fd, fdset
@@ -141,6 +147,26 @@ class TestDiagnostics:
             "2:1: error[E130] attribute Z is not declared by any scheme or the universe",
         ]
 
+    def test_a_repeated_list_is_placed_on_each_of_its_lines(self):
+        result = parse_schema("fd A, 9B -> C\n  fd A, 9B -> C\nfd C -> A, 9B\nscheme S(__C)\nuniverse __C\n")
+        assert [str(d) for d in result.diagnostics] == [
+            "1:7: error[E110] invalid identifier: '9B'",
+            "2:9: error[E110] invalid identifier: '9B'",
+            "3:12: error[E110] invalid identifier: '9B'",
+            "4:10: error[E111] reserved attribute name: __C",
+            "5:10: error[E111] reserved attribute name: __C",
+        ]
+
+    def test_a_valid_list_seen_before_hides_no_bad_line(self):
+        # "A, B" resolves first; later lists that extend it still fail
+        result = parse_schema("fd A, B -> C\nfd A, B, 9B -> C\nfd A, B -> __D\nfd A, B -> C, \nfd A, B -> C\n")
+        assert [str(d) for d in result.diagnostics] == [
+            "2:10: error[E110] invalid identifier: '9B'",
+            "3:12: error[E111] reserved attribute name: __D",
+            "4:14: error[E110] invalid identifier: ''",
+            "5:1: warning[W201] duplicate dependency dropped: A B -> C",
+        ]
+
     def test_diagnostics_sorted_by_position(self):
         result = parse_schema("scheme S(A)\nfd A -> Z\nnonsense")
         assert [d.line for d in result.diagnostics] == sorted(
@@ -151,6 +177,30 @@ class TestDiagnostics:
     def test_parser_never_raises(self, text):
         result = parse_schema(text)
         assert result.document is not None or result.errors
+
+
+# Parses a document whose names no interpreter has built yet, then again
+# once they are interned, and prints both answers.
+FRESH_PARSE = """
+import sys
+from fdkit import parse_schema
+text = sys.stdin.read()
+print(repr(parse_schema(text)))
+print(repr(parse_schema(text)))
+"""
+
+
+def test_new_names_parse_as_interned_ones():
+    src = str(Path(fdkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    text = "universe Fresh1, Fresh2, Fresh3\nscheme S(Fresh1, Fresh2)\nfd Fresh1 -> Fresh2\nfd Fresh1 -> Fresh2\n"
+    # the second document has an undeclared attribute, so no document
+    for doc in (text, text + "fd Fresh2, Fresh3 -> Fresh1 Fresh9\n"):
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_PARSE], input=doc, capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [repr(parse_schema(doc))] * 2
 
 
 class TestRendering:

@@ -210,6 +210,11 @@ class TestFDSet:
         assert sigma.universe == AttributeSet("A B")
         assert len(sigma) == 0
 
+    def test_a_member_that_is_no_fd_is_refused_before_hashing(self):
+        with pytest.raises(TypeError) as caught:
+            FDSet([FD("A", "B"), ["x"]])
+        assert str(caught.value) == "expected FD, got list"
+
 
 class TestClosure:
     def test_transitive_chain(self):
@@ -492,6 +497,14 @@ class TestClosureIndex:
                 sigma = FDSet([FD(rng.sample(pool, 3), rng.sample(pool, 1)) for _ in range(n)], universe=pool)
                 counts.add(builds_of(lambda: cover(sigma)))
             assert len(counts) == 1 and counts.pop() <= 2, cover.__name__
+
+    def test_sweep_on_a_private_index_drops_what_a_plain_sweep_drops(self):
+        rng = random.Random(23)
+        for _ in range(500):
+            n = rng.randint(1, 10)
+            pool = [f"A{i}" for i in range(n)]
+            fds = FDSet([FD(_random_sides(rng, pool, n), _random_sides(rng, pool, n)) for _ in range(rng.randint(0, 2 * n))]).fds
+            assert _ClosureIndex(fds).sweep() == _plain_sweep(fds)
 
     def test_cached_index_is_not_pickled(self):
         sigma = fdset("A B -> C", "C -> D E", "E ->")

@@ -1,5 +1,5 @@
-"""Fingerprint what fdkit's design and cover functions return on a fixed
-set of inputs.
+"""Fingerprint what fdkit's parser, closure kernel, design and cover
+functions return on a fixed set of inputs.
 
 Imports fdkit from the ``src`` directory of the checkout this file lives
 in and calls its public functions over seeded random schemas and the
@@ -9,9 +9,13 @@ and two random narrower schemes beside the whole one.  Each reduction's
 schemes are narrower schemes whose closures pass through attributes
 outside them.  Each function family (keys, every ``is_prime``,
 ``find_key``, the projection onto every scheme, both checks, both
-decompositions and the four covers) is hashed on its own.  Prints one
-line per family: the sha256 of every answer it gave, in order, then the
-family's name and the number of calls.
+decompositions and the four covers) is hashed on its own.  So are
+``closure`` and ``implies`` over seeded dependency sets of up to 30
+attributes, and ``parse_schema`` and ``parse_fd_text`` over seeded messy
+documents: invalid and reserved names, stray commas, both arrows,
+comments, repeated lines, and list texts repeated at different offsets.
+Prints one line per family: the sha256 of every answer it gave, in
+order, then the family's name and the number of calls.
 
 Run it in two checkouts and diff the two outputs to see which families a
 change touches.  Running it twice under different ``PYTHONHASHSEED``
@@ -45,6 +49,8 @@ from fdkit import (  # noqa: E402
     is_prime,
     minimum_cover,
     nonredundant_cover,
+    parse_fd_text,
+    parse_schema,
     project_fds,
     reduce_to_schema,
     reduced_cover,
@@ -54,6 +60,11 @@ from fdkit import (  # noqa: E402
 SCHEMAS = 3000
 INSTANCES = 200
 WIDTH = 11
+KERNELS = 1500
+KERNEL_WIDTH = 30
+DOCUMENTS = 3000
+BAD_NAMES = ("9B", "A-B", "\u00e9", "__C", "__D")
+ARROWS = ("->", "->", "\u2192")
 
 
 def _side(rng, pool, low):
@@ -77,6 +88,89 @@ def random_reduction(rng) -> DatabaseSchema:
     ground = tuple(f"p{i}" for i in range(1, rng.randint(1, 8) + 1))
     subsets = tuple(tuple(_side(rng, list(ground), 1)) for _ in range(rng.randint(1, 5)))
     return reduce_to_schema(HittingSetInstance(ground, subsets))
+
+
+def random_kernel(rng):
+    """A dependency set of 1-30 attributes, with now and then an empty
+    side, and the closure and implication questions asked of it."""
+    pool = [f"K{i:02d}" for i in range(rng.randint(1, KERNEL_WIDTH))]
+    sigma = FDSet(
+        [FD(_side(rng, pool, 0 if rng.random() < 0.05 else 1), _side(rng, pool, 0)) for _ in range(rng.randint(0, 2 * len(pool)))],
+        universe=pool,
+    )
+    for _ in range(4):
+        yield "closure", partial(sigma.closure, rng.sample(pool, rng.randint(0, min(4, len(pool)))))
+        yield "implies", partial(sigma.implies, FD(_side(rng, pool, 0), _side(rng, pool, 0)))
+
+
+def random_list(rng, good, mess) -> str:
+    """A list text of 1-3 names, now and then none, joined by mixed
+    separators; with ``mess``, now and then a bad name or a leading or
+    trailing comma."""
+    size = 0 if rng.random() < 0.05 else rng.randint(1, 3)
+    names = [rng.choice(BAD_NAMES) if rng.random() < 0.02 * mess else rng.choice(good) for _ in range(size)]
+    text = rng.choice([", ", ",", " ", " ,  ", "\t"]).join(names)
+    return ("," if rng.random() < 0.05 * mess else "") + text + ("," if rng.random() < 0.05 * mess else "")
+
+
+def random_document(rng) -> str:
+    """A schema document whose list texts often repeat, on other lines
+    and sides and at other offsets.  Three documents in five are messy:
+    bad names, stray commas and bad lines, and in about one of four of
+    those the first repeated text holds a bad name."""
+    good = [f"D{i}" for i in range(rng.randint(1, 8))]
+    mess = rng.random() < 0.6
+    shared = [random_list(rng, good, mess) for _ in range(3)]
+    if mess and rng.random() < 0.25:
+        shared[0] += " " + rng.choice(BAD_NAMES)
+
+    def pick() -> str:
+        return rng.choice(shared) if rng.random() < 0.5 else random_list(rng, good, mess)
+
+    lines = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if kind < 0.1:
+            line = f"scheme S{rng.randint(0, 3)}({pick()})"
+        elif kind < 0.15:
+            line = f"universe {pick() if mess else ', '.join(good)}"
+        elif kind < 0.2 and mess:
+            line = rng.choice(["", "# a comment", "bogus D0", "fd D0 D1", "scheme S(D0"])
+        else:
+            line = f"fd {pick()} {rng.choice(ARROWS)} {pick()}"
+        if rng.random() < 0.1:
+            line += "  # note -> D0"
+        lines.append(" " * rng.randint(0, 2) + line)
+    for _ in range(rng.randint(0, 3)):
+        if lines:
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def _parsed(text: str) -> str:
+    """Every diagnostic of ``text``, then its document rendered, with the
+    source line of each declaration."""
+    result = parse_schema(text)
+    out = [str(d) for d in result.diagnostics]
+    doc = result.document
+    if doc is not None:
+        out += [doc.render(), repr((doc.scheme_lines, doc.fd_lines, doc.universe_line))]
+    return "\n".join(out)
+
+
+def _parsed_fd(text: str) -> str:
+    try:
+        return str(parse_fd_text(text))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def random_parse(rng):
+    text = random_document(rng)
+    yield "parse_schema", partial(_parsed, text)
+    for line in text.splitlines():
+        if line.lstrip().startswith("fd "):
+            yield "parse_fd_text", partial(_parsed_fd, line.lstrip()[3:])
 
 
 def _text(value) -> str:
@@ -111,14 +205,17 @@ def main() -> int:
     failed = 0
     schemas = [random_schema(random.Random(k)) for k in range(SCHEMAS)]
     schemas += [random_reduction(random.Random(5000 + k)) for k in range(INSTANCES)]
-    for k, schema in enumerate(schemas):
-        for name, call in families(schema):
+    inputs = [families(schema) for schema in schemas]
+    inputs += [random_kernel(random.Random(10000 + k)) for k in range(KERNELS)]
+    inputs += [random_parse(random.Random(20000 + k)) for k in range(DOCUMENTS)]
+    for k, asked in enumerate(inputs):
+        for name, call in asked:
             try:
                 answer = _text(call())
             except Exception as exc:
                 failed += 1
                 answer = f"RAISED {type(exc).__name__}: {exc}"
-                print(f"RAISED {type(exc).__name__} in {name} of schema {k}", file=sys.stderr)
+                print(f"RAISED {type(exc).__name__} in {name} of input {k}", file=sys.stderr)
             digests.setdefault(name, hashlib.sha256()).update(answer.encode() + b"\n")
             calls[name] = calls.get(name, 0) + 1
     for name, digest in digests.items():
