@@ -36,8 +36,11 @@ def check_limit(operation: str, size: int, limit: int) -> None:
 
     ``size`` counts what the search is exponential in: attributes, or
     ground elements for the hitting-set search.  The message names the
-    operation, the size and the limit.
+    operation, the size and the limit.  A negative limit is a caller's
+    mistake, not a refusal, and raises :class:`ValueError`.
     """
+    if limit < 0:
+        raise ValueError(f"{operation}: the limit must be at least 0, not {limit}")
     if size > limit:
         raise LimitExceededError(
             f"{operation} refused: size {size} exceeds the limit of {limit}"

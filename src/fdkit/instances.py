@@ -40,6 +40,22 @@ Token = Union[str, int]
 DEFAULT_ORACLE_LIMIT = 12
 
 
+def _pattern_columns(width: int) -> tuple[int, ...]:
+    """Each attribute's column over the ``2**width`` two-row patterns:
+    column ``i`` is an int whose bit ``w`` is ``(w >> i) & 1``.  Adding
+    attribute ``k`` doubles the patterns: the ones from ``2**k`` on copy
+    the earlier columns and are the ones that agree on ``k``."""
+    columns, size = [], 1
+    for _ in range(width):
+        columns = [c | c << size for c in columns] + [((1 << size) - 1) << size]
+        size <<= 1
+    return tuple(columns)
+
+
+_BLOCK_WIDTH = 12
+_PATTERN_COLUMNS = _pattern_columns(_BLOCK_WIDTH)
+
+
 class Row:
     """A tuple over a fixed attribute scheme: one value per attribute.
 
@@ -402,10 +418,24 @@ def oracle_implies(sigma: FDSet, fd: FD, limit: int = DEFAULT_ORACLE_LIMIT) -> b
 
     Enumerates every pattern of two rows over the universe: the first row
     is a constant tuple and the second agrees with it exactly on a chosen
-    subset ``W`` (encoded as a bitmask over the canonical attribute
-    order).  Such a relation satisfies ``S -> T`` precisely when ``S`` not
-    inside ``W`` or ``T`` inside ``W``.  The answer is ``False`` exactly
-    when some pattern satisfies ``sigma`` but not ``fd``.
+    subset ``W``.  Such a relation satisfies ``S -> T`` precisely when
+    ``S`` not inside ``W`` or ``T`` inside ``W``.  The answer is ``False``
+    exactly when some pattern satisfies ``sigma`` but not ``fd``.
+
+    The patterns are tested in blocks of up to 4096, one bit each of a
+    Python int.  Over the first twelve attributes in the canonical order,
+    pattern ``w`` agrees on attribute ``i`` when bit ``i`` of ``w`` is
+    set, so attribute ``i`` owns a fixed column whose bit ``w`` is
+    ``(w >> i) & 1``, and the AND of a set's columns holds the patterns
+    that agree on the whole set.  A wider universe takes one block for
+    each setting of its higher attributes, where each of their columns is
+    all ones or empty.  The candidates of a block start as the patterns
+    that agree on ``fd``'s left side but not its right, and each member
+    ``S -> T`` of ``sigma`` keeps only those that disagree somewhere on
+    ``S`` or agree on all of ``T``.  So every pattern is still tested
+    against every dependency until one rejects it, as a loop over the
+    patterns would; one big-integer operation tests a whole block.  The
+    work stays exponential in the width.
 
     Two-row patterns suffice to refute any non-implied dependency, and
     nothing here calls the closure machinery, so this is an independent
@@ -415,24 +445,28 @@ def oracle_implies(sigma: FDSet, fd: FD, limit: int = DEFAULT_ORACLE_LIMIT) -> b
     _require_within(fd.attributes, sigma.universe, "dependency attributes outside the universe")
     n = len(sigma.universe)
     check_limit("implication oracle", n, limit)
-    position = {a: i for i, a in enumerate(sigma.universe)}
+    low = min(n, _BLOCK_WIDTH)
+    full = (1 << (1 << low)) - 1
+    universe = tuple(sigma.universe)
+    column = dict(zip(universe, _PATTERN_COLUMNS))
+    higher = universe[low:]
 
-    def mask(attrs: AttributeSet) -> int:
-        m = 0
+    def agree(attrs: AttributeSet) -> int:
+        patterns = full
         for a in attrs:
-            m |= 1 << position[a]
-        return m
+            patterns &= column[a]
+        return patterns
 
-    body = [(mask(f.lhs), mask(f.rhs)) for f in sigma]
-    lhs_mask = mask(fd.lhs)
-    rhs_mask = mask(fd.rhs)
-    for w in range(1 << n):
-        if lhs_mask & w == lhs_mask and rhs_mask & w != rhs_mask:
-            for s, t in body:
-                if s & w == s and t & w != t:
-                    break
-            else:
-                return False
+    for block in range(1 << (n - low)):
+        for j, a in enumerate(higher):
+            column[a] = full if block >> j & 1 else 0
+        candidates = agree(fd.lhs) & ~agree(fd.rhs)
+        for f in sigma:
+            if not candidates:
+                break
+            candidates &= ~agree(f.lhs) | agree(f.rhs)
+        if candidates:
+            return False
     return True
 
 

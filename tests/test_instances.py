@@ -4,6 +4,7 @@ brute-force implication oracle, anchored on the worked golden tables."""
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -398,6 +399,42 @@ class TestTwoTupleWitness:
                 assert witness.satisfies(FD(x, [a])) == (a in closed)
 
 
+def _pattern_oracle(sigma, f):
+    """The implication oracle as one loop step per two-row pattern ``w``,
+    a bitmask of the attributes on which the rows agree: the reference
+    for the bit-parallel blocks of :func:`oracle_implies`."""
+    position = {a: i for i, a in enumerate(sigma.universe)}
+
+    def mask(attrs):
+        return sum(1 << position[a] for a in attrs)
+
+    body = [(mask(g.lhs), mask(g.rhs)) for g in sigma]
+    lhs, rhs = mask(f.lhs), mask(f.rhs)
+    for w in range(1 << len(position)):
+        if lhs & w == lhs and rhs & w != rhs and all(s & w != s or t & w == t for s, t in body):
+            return False
+    return True
+
+
+def _oracle_case(rng, width):
+    """A dependency set over ``width`` attributes and a question, with
+    empty and trivial sides, and past the twelfth attribute now and then
+    sides drawn only from the attributes beyond it."""
+    pool = [f"A{i:02d}" for i in range(width)]
+
+    def side():
+        source = pool[12:] if width > 12 and rng.random() < 0.25 else pool
+        return rng.sample(source, rng.randint(0, min(3, len(source))))
+
+    def dependency():
+        lhs = side()
+        rhs = rng.sample(lhs, rng.randint(0, len(lhs))) if rng.random() < 0.1 else side()
+        return FD(lhs, rhs)
+
+    sigma = FDSet([dependency() for _ in range(rng.randint(0, 2 * width))], universe=pool)
+    return sigma, dependency()
+
+
 class TestOracleImplies:
     def test_transitive_consequence(self):
         assert oracle_implies(fdset("B -> C", "A -> B"), fd("A -> C"))
@@ -433,6 +470,25 @@ class TestOracleImplies:
             instance = random_satisfying_instance(other, rng, max_witnesses=4, max_merges=4)
             assert instance.satisfies_all(other)
             assert _chase(other, [AttributeSet([a]) for a in other.universe]).satisfies_all(other)
+
+    def test_blocks_match_the_pattern_loop_and_the_closure_kernel(self):
+        # widths 13-15 take two to eight blocks of 4096 patterns
+        answers = []
+        for width in range(16):
+            for seed in range(12):
+                sigma, f = _oracle_case(random.Random(100 * width + seed), width)
+                answer = oracle_implies(sigma, f, limit=15)
+                assert answer == _pattern_oracle(sigma, f) == sigma.implies(f), (width, seed)
+                answers.append((width > 12, answer))
+        assert {(True, True), (True, False), (False, True), (False, False)} <= set(answers)
+
+    def test_a_raised_limit_answers_a_wide_chain(self):
+        names = [f"A{i:02d}" for i in range(20)]
+        sigma = FDSet([FD(a, b) for a, b in zip(names, names[1:])], universe=names)
+        start = time.perf_counter()
+        assert oracle_implies(sigma, FD(names[0], names[-1]), limit=20)
+        assert not oracle_implies(sigma, FD(names[-1], names[0]), limit=20)
+        assert time.perf_counter() - start < 5.0
 
     def test_matches_materialized_two_row_relations(self):
         # the bitmask patterns are exactly the two-row relations whose rows

@@ -59,3 +59,14 @@ def test_refusal_names_operation_size_and_limit(index):
 def test_input_at_the_limit_is_searched(index):
     _, search = searches(6)[index]
     search(6)
+
+
+@pytest.mark.parametrize("index", range(len(OPERATIONS)), ids=OPERATIONS)
+def test_a_negative_limit_is_a_usage_error_not_a_refusal(index):
+    operation, search = searches(2)[index]
+    with pytest.raises(ValueError) as info:
+        search(-1)
+    assert not isinstance(info.value, LimitExceededError)
+    message = str(info.value)
+    assert message.startswith(operation)
+    assert "-1" in message

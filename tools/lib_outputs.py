@@ -11,9 +11,13 @@ outside them.  Each function family (keys, every ``is_prime``,
 ``find_key``, the projection onto every scheme, both checks, both
 decompositions and the four covers) is hashed on its own.  So are
 ``closure`` and ``implies`` over seeded dependency sets of up to 30
-attributes, and ``parse_schema`` and ``parse_fd_text`` over seeded messy
+attributes, ``parse_schema`` and ``parse_fd_text`` over seeded messy
 documents: invalid and reserved names, stray commas, both arrows,
-comments, repeated lines, and list texts repeated at different offsets.
+comments, repeated lines, and list texts repeated at different offsets,
+``oracle_implies`` over seeded dependency sets of 0-12 attributes under
+the default limit and of 13-15 under a limit of 15, and the verdicts of
+``is_lossless_on`` and ``check_represents`` on seeded random instances
+and decompositions of up to 6 attributes.
 Prints one line per family: the sha256 of every answer it gave, in
 order, then the family's name and the number of calls.
 
@@ -44,14 +48,18 @@ from fdkit import (  # noqa: E402
     canonical_cover,
     check_3nf,
     check_bcnf,
+    check_represents,
     enumerate_keys,
     find_key,
+    is_lossless_on,
     is_prime,
     minimum_cover,
     nonredundant_cover,
+    oracle_implies,
     parse_fd_text,
     parse_schema,
     project_fds,
+    random_satisfying_instance,
     reduce_to_schema,
     reduced_cover,
     synthesize_3nf,
@@ -63,6 +71,12 @@ WIDTH = 11
 KERNELS = 1500
 KERNEL_WIDTH = 30
 DOCUMENTS = 3000
+ORACLES = 500
+ORACLE_WIDTH = 12
+WIDE_ORACLES = 50
+WIDE_ORACLE_WIDTH = 15
+LABS = 600
+LAB_WIDTH = 6
 BAD_NAMES = ("9B", "A-B", "\u00e9", "__C", "__D")
 ARROWS = ("->", "->", "\u2192")
 
@@ -71,15 +85,21 @@ def _side(rng, pool, low):
     return rng.sample(pool, rng.randint(low, min(3, len(pool))))
 
 
-def random_schema(rng) -> DatabaseSchema:
-    """The whole scheme of a random dependency set, then two narrower
-    schemes that carry no dependencies of their own."""
-    pool = [f"A{i:02d}" for i in range(rng.randint(1, WIDTH))]
+def random_fds(rng, pool) -> FDSet:
+    """Up to twice as many dependencies as ``pool`` has attributes, now
+    and then with an empty left or right side."""
     fds = [
         FD(_side(rng, pool, 0 if rng.random() < 0.05 else 1), _side(rng, pool, 0))
         for _ in range(rng.randint(0, 2 * len(pool)))
     ]
-    sigma = FDSet(fds, universe=pool)
+    return FDSet(fds, universe=pool)
+
+
+def random_schema(rng) -> DatabaseSchema:
+    """The whole scheme of a random dependency set, then two narrower
+    schemes that carry no dependencies of their own."""
+    pool = [f"A{i:02d}" for i in range(rng.randint(1, WIDTH))]
+    sigma = random_fds(rng, pool)
     narrower = [RelationScheme(rng.sample(pool, rng.randint(1, len(pool))), ()) for _ in range(2)]
     return DatabaseSchema([RelationScheme(pool, sigma), *narrower])
 
@@ -94,13 +114,36 @@ def random_kernel(rng):
     """A dependency set of 1-30 attributes, with now and then an empty
     side, and the closure and implication questions asked of it."""
     pool = [f"K{i:02d}" for i in range(rng.randint(1, KERNEL_WIDTH))]
-    sigma = FDSet(
-        [FD(_side(rng, pool, 0 if rng.random() < 0.05 else 1), _side(rng, pool, 0)) for _ in range(rng.randint(0, 2 * len(pool)))],
-        universe=pool,
-    )
+    sigma = random_fds(rng, pool)
     for _ in range(4):
         yield "closure", partial(sigma.closure, rng.sample(pool, rng.randint(0, min(4, len(pool)))))
         yield "implies", partial(sigma.implies, FD(_side(rng, pool, 0), _side(rng, pool, 0)))
+
+
+def random_oracle(rng, low, high, **limit):
+    """A dependency set of ``low`` to ``high`` attributes, the universe
+    empty now and then, and four implication questions for the oracle."""
+    pool = [f"O{i:02d}" for i in range(rng.randint(low, high))]
+    sigma = random_fds(rng, pool)
+    for _ in range(4):
+        yield "oracle_implies", partial(oracle_implies, sigma, FD(_side(rng, pool, 0), _side(rng, pool, 0)), **limit)
+
+
+def random_lab(rng):
+    """A random instance that satisfies a random dependency set, and a
+    decomposition into up to four covering parts: whether the instance
+    joins back from its projections, and how the decomposition with the
+    projected dependencies represents the whole scheme."""
+    pool = [f"L{i}" for i in range(rng.randint(1, LAB_WIDTH))]
+    sigma = random_fds(rng, pool)
+    parts = [rng.sample(pool, rng.randint(1, len(pool))) for _ in range(rng.randint(1, 3))]
+    rest = [a for a in pool if not any(a in part for part in parts)]
+    if rest:
+        parts.append(rest)
+    instance = random_satisfying_instance(sigma, rng, max_witnesses=rng.randint(1, 4), max_merges=rng.randint(0, 3))
+    yield "is_lossless_on", partial(is_lossless_on, instance, parts)
+    schema = DatabaseSchema([RelationScheme(part, project_fds(sigma, part)) for part in parts])
+    yield "check_represents", lambda: check_represents(schema, RelationScheme(pool, sigma)).to_dict()
 
 
 def random_list(rng, good, mess) -> str:
@@ -208,6 +251,12 @@ def main() -> int:
     inputs = [families(schema) for schema in schemas]
     inputs += [random_kernel(random.Random(10000 + k)) for k in range(KERNELS)]
     inputs += [random_parse(random.Random(20000 + k)) for k in range(DOCUMENTS)]
+    inputs += [random_oracle(random.Random(30000 + k), 0, ORACLE_WIDTH) for k in range(ORACLES)]
+    inputs += [
+        random_oracle(random.Random(35000 + k), ORACLE_WIDTH + 1, WIDE_ORACLE_WIDTH, limit=WIDE_ORACLE_WIDTH)
+        for k in range(WIDE_ORACLES)
+    ]
+    inputs += [random_lab(random.Random(40000 + k)) for k in range(LABS)]
     for k, asked in enumerate(inputs):
         for name, call in asked:
             try:
