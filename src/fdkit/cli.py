@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from .dsl import SchemaDocument, _fd_line, parse_fd_text, parse_schema
-from .errors import FDKitError, LimitExceededError
+from .errors import DEFAULT_LIMIT, FDKitError, LimitExceededError
 from .fds import FD, AttributeSet, DatabaseSchema, RelationScheme
 
 # Each subcommand imports the modules it needs beyond these when it runs,
@@ -142,20 +142,20 @@ def _fail(message: str) -> None:
     print(f"fdkit: {message}", file=sys.stderr)
 
 
-def _limit(ns) -> dict:
-    """``{"limit": n}`` when ``--limit`` or the environment sets one, else
-    ``{}``, which leaves each search its own default.  A value that is not
-    a whole number of at least 0 is a usage error."""
+def _limit(ns) -> int:
+    """The search limit: ``--limit``, else ``$FDKIT_LIMIT``, else the
+    library's :data:`~fdkit.errors.DEFAULT_LIMIT`.  A value that is not a
+    whole number of at least 0 is a usage error."""
     source, raw = ("--limit", ns.limit) if ns.limit is not None else (LIMIT_ENV, os.environ.get(LIMIT_ENV))
     if raw is None:
-        return {}
+        return DEFAULT_LIMIT
     try:
         limit = int(raw)
     except ValueError:
         limit = -1  # refused below, as a negative limit is
     if limit < 0:
         raise UsageError(f"invalid {source} value: {raw!r}")
-    return {"limit": limit}
+    return limit
 
 
 def _read_source(path: str) -> str:
@@ -247,7 +247,7 @@ def _cmd_implies(ns) -> int:
     else:
         from .instances import oracle_implies
 
-        implied = oracle_implies(doc.fds, fd, **_limit(ns))
+        implied = oracle_implies(doc.fds, fd, limit=_limit(ns))
     payload = {"fd": _fd_dict(fd), "implied": implied}
     return _finish(ns, 0 if implied else 1, ["true" if implied else "false"], payload)
 
@@ -282,7 +282,7 @@ def _cmd_keys(ns) -> int:
     limit = _limit(ns)  # an invalid FDKIT_LIMIT is refused without --all too
     if ns.all:
         keys = sorted(
-            enumerate_keys(scheme, doc.fds, **limit),
+            enumerate_keys(scheme, doc.fds, limit=limit),
             key=lambda k: (len(k), k.names),
         )
         payload = {"scheme": list(scheme.attrs.names), "keys": [list(k.names) for k in keys]}
@@ -308,7 +308,7 @@ def _cmd_check(ns) -> int:
 
     doc = _load_document(ns.schema)
     db = doc.database_schema()
-    report = (check_bcnf if ns.nf == "bcnf" else check_3nf)(db, **_limit(ns))
+    report = (check_bcnf if ns.nf == "bcnf" else check_3nf)(db, limit=_limit(ns))
     payload = report.to_dict()
     payload["schemes"] = [list(s.attrs.names) for s in db.schemes]
     return _finish(ns, 0 if report.satisfied else 1, _check_report_lines(db, report), payload)
@@ -343,7 +343,7 @@ def _cmd_decompose(ns) -> int:
         raise UsageError("decompose: pass --bcnf (the only supported target)")
     doc = _load_document(ns.schema)
     db = doc.database_schema()
-    out = bcnf_decompose(db, **_limit(ns))
+    out = bcnf_decompose(db, limit=_limit(ns))
     return _finish_schema(ns, out, doc.universal_scheme())
 
 
@@ -354,7 +354,7 @@ def _cmd_synthesize(ns) -> int:
         raise UsageError("synthesize: pass --3nf (the only supported target)")
     doc = _load_document(ns.schema)
     universal = doc.universal_scheme()
-    out = synthesize_3nf(universal, verbatim=ns.verbatim, **_limit(ns))
+    out = synthesize_3nf(universal, verbatim=ns.verbatim, limit=_limit(ns))
     return _finish_schema(ns, out, universal)
 
 
@@ -371,7 +371,7 @@ def _cmd_hitting_set(ns) -> int:
     from .reductions import parse_instance, solve_hitting_set
 
     instance = parse_instance(_read_source(ns.instance))
-    witness = solve_hitting_set(instance, **_limit(ns))
+    witness = solve_hitting_set(instance, limit=_limit(ns))
     found = witness is not None
     payload = {"found": found, "witness": list(witness.names) if found else None}
     return _finish(ns, 0 if found else 1, [str(witness) if found else "none"], payload)

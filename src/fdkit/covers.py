@@ -8,7 +8,7 @@ always produce equal outputs.
 
 from __future__ import annotations
 
-from .errors import check_limit
+from .errors import DEFAULT_LIMIT, check_limit
 from .fds import (
     FD,
     AttributeSet,
@@ -25,10 +25,7 @@ __all__ = [
     "canonical_cover",
     "minimum_cover",
     "project_fds",
-    "DEFAULT_PROJECTION_LIMIT",
 ]
-
-DEFAULT_PROJECTION_LIMIT = 20
 
 
 def reduced_cover(sigma: FDSet) -> FDSet:
@@ -90,9 +87,7 @@ def minimum_cover(sigma: FDSet) -> FDSet:
     return nonredundant_cover(FDSet(closed, universe=sigma.universe))
 
 
-def project_fds(
-    sigma: FDSet, x: AttrsLike, limit: int = DEFAULT_PROJECTION_LIMIT
-) -> FDSet:
+def project_fds(sigma: FDSet, x: AttrsLike, limit: int = DEFAULT_LIMIT) -> FDSet:
     """Cover of every implied dependency whose attributes all lie in ``x``.
 
     Takes the left sides ``S`` over subsets of ``x`` in (size, canonical)

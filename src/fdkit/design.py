@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from .covers import canonical_cover, nonredundant_cover, project_fds, reduced_cover
-from .errors import UniverseMismatchError, check_limit
+from .errors import DEFAULT_LIMIT, UniverseMismatchError, check_limit
 from .fds import Attribute, AttributeSet, AttrsLike, DatabaseSchema, FDSet, RelationScheme
 from .fds import _Lattice, _Record, _require_within
 from .instances import Relation, _chase, is_lossless_on
@@ -31,10 +31,7 @@ __all__ = [
     "bcnf_decompose",
     "synthesize_3nf",
     "check_represents",
-    "DEFAULT_SEARCH_LIMIT",
 ]
-
-DEFAULT_SEARCH_LIMIT = 16
 
 
 class Violation(_Record):
@@ -135,9 +132,7 @@ def find_key(scheme: RelationScheme, sigma: FDSet) -> AttributeSet:
     return x
 
 
-def enumerate_keys(
-    scheme: RelationScheme, sigma: FDSet, limit: int = DEFAULT_SEARCH_LIMIT
-) -> frozenset:
+def enumerate_keys(scheme: RelationScheme, sigma: FDSet, limit: int = DEFAULT_LIMIT) -> frozenset:
     """Every key of the scheme, by Lucchesi and Osborn's algorithm, in
     time polynomial in the number of keys once the scheme has a cover of
     its own dependencies.
@@ -159,7 +154,7 @@ def is_prime(
     scheme: RelationScheme,
     sigma: FDSet,
     a: Attribute | str,
-    limit: int = DEFAULT_SEARCH_LIMIT,
+    limit: int = DEFAULT_LIMIT,
 ) -> bool:
     """Whether ``a`` belongs to some key of the scheme.
 
@@ -301,7 +296,7 @@ def _check_normal_form(schema: DatabaseSchema, limit: int, form: str) -> NormalF
     return NormalFormReport(form, not witnesses, tuple(witnesses))
 
 
-def check_bcnf(schema: DatabaseSchema, limit: int = DEFAULT_SEARCH_LIMIT) -> NormalFormReport:
+def check_bcnf(schema: DatabaseSchema, limit: int = DEFAULT_LIMIT) -> NormalFormReport:
     """Report whether every determinant of every scheme is a superkey.
 
     Implication runs against the schema's combined dependency set.  The
@@ -314,7 +309,7 @@ def check_bcnf(schema: DatabaseSchema, limit: int = DEFAULT_SEARCH_LIMIT) -> Nor
     return _check_normal_form(schema, limit, "bcnf")
 
 
-def check_3nf(schema: DatabaseSchema, limit: int = DEFAULT_SEARCH_LIMIT) -> NormalFormReport:
+def check_3nf(schema: DatabaseSchema, limit: int = DEFAULT_LIMIT) -> NormalFormReport:
     """Report whether any scheme has a non-superkey determinant of a
     nonprime attribute.
 
@@ -327,7 +322,7 @@ def check_3nf(schema: DatabaseSchema, limit: int = DEFAULT_SEARCH_LIMIT) -> Norm
     return _check_normal_form(schema, limit, "3nf")
 
 
-def bcnf_decompose(schema: DatabaseSchema, limit: int = DEFAULT_SEARCH_LIMIT) -> DatabaseSchema:
+def bcnf_decompose(schema: DatabaseSchema, limit: int = DEFAULT_LIMIT) -> DatabaseSchema:
     """Split schemes on their violating determinants until the schema
     passes :func:`check_bcnf`.
 
@@ -364,7 +359,7 @@ def bcnf_decompose(schema: DatabaseSchema, limit: int = DEFAULT_SEARCH_LIMIT) ->
 def synthesize_3nf(
     universal: RelationScheme,
     verbatim: bool = False,
-    limit: int = DEFAULT_SEARCH_LIMIT,
+    limit: int = DEFAULT_LIMIT,
 ) -> DatabaseSchema:
     """Synthesize a dependency-preserving 3NF schema for ``universal``.
 

@@ -11,6 +11,7 @@ __all__ = [
     "ReservedNameError",
     "InstanceFormatError",
     "RelationFormatError",
+    "DEFAULT_LIMIT",
 ]
 
 
@@ -31,14 +32,23 @@ class LimitExceededError(FDKitError):
     configured size limit.  This is a refusal, never a wrong answer."""
 
 
+DEFAULT_LIMIT = 20
+
+
 def check_limit(operation: str, size: int, limit: int) -> None:
     """Refuse an exponential search whose input is larger than ``limit``.
 
     ``size`` counts what the search is exponential in: attributes, or
-    ground elements for the hitting-set search.  The message names the
-    operation, the size and the limit.  A negative limit is a caller's
-    mistake, not a refusal, and raises :class:`ValueError`.
+    ground elements for the hitting-set search.  Every guarded search
+    takes :data:`DEFAULT_LIMIT` when its caller passes no limit, and so
+    does the CLI without ``--limit`` or ``$FDKIT_LIMIT``.  The message
+    names the operation, the size and the limit.  A limit that is not an
+    ``int`` (a ``bool`` included) raises :class:`TypeError`, and a
+    negative one :class:`ValueError`: both are a caller's mistake, not a
+    refusal.
     """
+    if isinstance(limit, bool) or not isinstance(limit, int):
+        raise TypeError(f"{operation}: the limit must be an int, not {limit!r}")
     if limit < 0:
         raise ValueError(f"{operation}: the limit must be at least 0, not {limit}")
     if size > limit:

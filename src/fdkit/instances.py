@@ -21,7 +21,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import CoverageError, RelationFormatError, check_limit
+from .errors import DEFAULT_LIMIT, CoverageError, RelationFormatError, check_limit
 from .fds import FD, Attribute, AttributeSet, AttrsLike, FDSet, _attrset, _require_within
 
 __all__ = [
@@ -32,12 +32,9 @@ __all__ = [
     "two_tuple_witness",
     "oracle_implies",
     "random_satisfying_instance",
-    "DEFAULT_ORACLE_LIMIT",
 ]
 
 Token = Union[str, int]
-
-DEFAULT_ORACLE_LIMIT = 12
 
 
 def _pattern_columns(width: int) -> tuple[int, ...]:
@@ -413,7 +410,7 @@ def two_tuple_witness(sigma: FDSet, x: AttrsLike) -> Relation:
     return _relation(attrs, [("0",) * len(attrs), v])
 
 
-def oracle_implies(sigma: FDSet, fd: FD, limit: int = DEFAULT_ORACLE_LIMIT) -> bool:
+def oracle_implies(sigma: FDSet, fd: FD, limit: int = DEFAULT_LIMIT) -> bool:
     """Brute-force implication check over all two-row relation patterns.
 
     Enumerates every pattern of two rows over the universe: the first row

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Optional
 
 from .dsl import RESERVED_C, RESERVED_D
-from .errors import InstanceFormatError, ReservedNameError, check_limit
+from .errors import DEFAULT_LIMIT, InstanceFormatError, ReservedNameError, check_limit
 from .fds import FD, Attribute, AttributeSet, DatabaseSchema, FDSet, RelationScheme, _Record
 
 __all__ = [
@@ -23,10 +23,7 @@ __all__ = [
     "render_instance",
     "solve_hitting_set",
     "reduce_to_schema",
-    "DEFAULT_GROUND_LIMIT",
 ]
-
-DEFAULT_GROUND_LIMIT = 20
 
 
 class HittingSetInstance(_Record):
@@ -94,7 +91,7 @@ def render_instance(instance: HittingSetInstance) -> str:
 
 
 def solve_hitting_set(
-    instance: HittingSetInstance, limit: int = DEFAULT_GROUND_LIMIT
+    instance: HittingSetInstance, limit: int = DEFAULT_LIMIT
 ) -> Optional[AttributeSet]:
     """The lexicographically least W with exactly one element in every
     subset, or None when no such W exists.

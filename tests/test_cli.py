@@ -315,18 +315,23 @@ class TestLimitsAndEnvironment:
             assert "invalid FDKIT_LIMIT value: '-1'" in err
 
     @pytest.mark.parametrize(
-        "argv, kind, default",
+        "argv, kind",
         [
-            (["keys", "--all"], "schema", 16),
-            (["oracle", "implies", "A0 -> A1"], "schema", 12),
-            (["hitting-set"], "instance", 20),
+            (["keys", "--all"], "schema"),
+            (["check", "--nf", "bcnf"], "schema"),
+            (["check", "--nf", "3nf"], "schema"),
+            (["decompose", "--bcnf"], "schema"),
+            (["synthesize", "--3nf"], "schema"),
+            (["oracle", "implies", "A0 -> A1"], "schema"),
+            (["hitting-set"], "instance"),
         ],
-        ids=["keys", "oracle implies", "hitting-set"],
+        ids=["keys", "check bcnf", "check 3nf", "decompose", "synthesize", "oracle implies", "hitting-set"],
     )
     def test_default_limit_applies_with_no_flag_or_environment(
-        self, tmp_path, capsys, monkeypatch, argv, kind, default
+        self, tmp_path, capsys, monkeypatch, argv, kind
     ):
         monkeypatch.delenv("FDKIT_LIMIT", raising=False)
+        default = fdkit.DEFAULT_LIMIT
         for n, status in ((default, 0), (default + 1, 3)):
             names = [f"A{i}" for i in range(n)]
             path = tmp_path / f"{kind}{n}"
@@ -347,7 +352,7 @@ class TestLimitsAndEnvironment:
         start = time.perf_counter()
         code, out, err = run(capsys, ["synthesize", "--3nf", "--schema", str(wide)])
         assert (code, out) == (3, "")
-        assert "limit of 16" in err
+        assert "limit of 20" in err
         assert time.perf_counter() - start < 5
 
     def test_stdin_is_the_default_schema_source(self, capsys, monkeypatch):

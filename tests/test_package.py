@@ -17,6 +17,7 @@ PUBLIC = [
     "ReservedNameError",
     "InstanceFormatError",
     "RelationFormatError",
+    "DEFAULT_LIMIT",
     # fds
     "Attribute",
     "AttributeSet",
@@ -30,7 +31,6 @@ PUBLIC = [
     "canonical_cover",
     "minimum_cover",
     "project_fds",
-    "DEFAULT_PROJECTION_LIMIT",
     # instances
     "Row",
     "Relation",
@@ -39,7 +39,6 @@ PUBLIC = [
     "two_tuple_witness",
     "oracle_implies",
     "random_satisfying_instance",
-    "DEFAULT_ORACLE_LIMIT",
     # design
     "Violation",
     "NormalFormReport",
@@ -54,14 +53,12 @@ PUBLIC = [
     "bcnf_decompose",
     "synthesize_3nf",
     "check_represents",
-    "DEFAULT_SEARCH_LIMIT",
     # reductions
     "HittingSetInstance",
     "parse_instance",
     "render_instance",
     "solve_hitting_set",
     "reduce_to_schema",
-    "DEFAULT_GROUND_LIMIT",
     # dsl
     "Diagnostic",
     "ParseResult",
@@ -76,7 +73,7 @@ REEXPORTED = ["AttrsLike", "RESERVED_C", "RESERVED_D", "RESERVED_NAMES"]
 
 
 def test_the_public_names_are_the_documented_ones():
-    assert len(PUBLIC) == 54
+    assert len(PUBLIC) == 51
     assert sorted(fdkit.__all__) == sorted(PUBLIC + REEXPORTED)
 
 

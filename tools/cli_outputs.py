@@ -9,9 +9,11 @@ attributes, go through ``keys --all`` and ``check`` only, on a scheme
 that holds its dependencies and on a narrower one.  What ``reduce``
 prints for each hitting-set instance goes through ``check`` and
 ``keys --all`` on its target scheme: narrower schemes whose closures
-pass through attributes outside them.  Prints one line per
-invocation: the sha256 of its exit status, stdout and stderr, then its
-arguments.
+pass through attributes outside them.  Last, every searching
+subcommand runs with no ``--limit`` on inputs one narrower than the
+default limit, at it and one wider, so the default's answers and
+refusals show.  Prints one line per invocation: the sha256 of its exit
+status, stdout and stderr, then its arguments.
 
 Run it in two checkouts and diff the two outputs to see exactly which
 invocations a change touches.  Running it twice under different
@@ -34,6 +36,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fdkit.cli import main as fdkit_main  # noqa: E402
+from fdkit.errors import DEFAULT_LIMIT  # noqa: E402
 
 SCHEMAS = 60
 INSTANCES = 30
@@ -177,6 +180,20 @@ def invocations() -> list:
         ]
         if k < 5:
             out.append(["hitting-set", h, "--limit", "3"])
+    for n in (DEFAULT_LIMIT - 1, DEFAULT_LIMIT, DEFAULT_LIMIT + 1):
+        names = [f"A{i}" for i in range(n)]
+        Path(f"star{n}.fd").write_text(f"fd A0 -> {', '.join(names[1:])}\n")
+        Path(f"one{n}.hs").write_text(f"elements: {' '.join(names)}\nset: {' '.join(names)}\n")
+        star = ["--schema", f"star{n}.fd"]
+        out += [
+            ["keys", "--all", *star],
+            ["check", "--nf", "bcnf", *star],
+            ["check", "--nf", "3nf", *star],
+            ["decompose", "--bcnf", *star],
+            ["synthesize", "--3nf", *star],
+            ["oracle", "implies", "A0 -> A1", *star],
+            ["hitting-set", f"one{n}.hs"],
+        ]
     Path("broken.fd").write_text("scheme S(A\n")
     out += [["mincover", "--schema", "broken.fd"], ["closure", "--of", "A", "--schema", "missing.fd"]]
     return [argv + extra for argv in out for extra in ([], ["--json"])]
