@@ -531,11 +531,15 @@ class FDSet:
     order) and structural duplicates are dropped on construction: every
     member is checked to be an :class:`FD` first, then one
     ``dict.fromkeys`` keeps each first occurrence, hashing each member
-    once.  When no universe is given it defaults to the union of the
-    dependencies' attributes; an explicit universe must contain every
-    mentioned attribute.
+    once.  That dict is kept beside the ordered members, so ``fd in
+    sigma`` is one hash lookup.  When no universe is given it defaults to
+    the union of the dependencies' attributes; an explicit universe must
+    contain every mentioned attribute.
 
-    Closure, implication and equivalence all ask one
+    Implication and equivalence answer a stated member before any
+    closure: a set implies its own members, so :meth:`implies` returns
+    ``True`` for one, and :meth:`equivalent` closes only the members of
+    each side that the other side does not state.  Every closure asks one
     :class:`_ClosureIndex`, built on the first such question and kept for
     the life of the set; implication tests stop as soon as the right side
     is reached.  The index is never changed after it is built, so the set
@@ -545,14 +549,15 @@ class FDSet:
     runs on, so it builds a private one.
     """
 
-    __slots__ = ("_fds", "_universe", "_index")
+    __slots__ = ("_fds", "_members", "_universe", "_index")
 
     def __init__(self, fds: Iterable[FD] = (), universe: AttrsLike | None = None):
         fds = tuple(fds)
         for fd in fds:
             if not isinstance(fd, FD):
                 raise TypeError(f"expected FD, got {type(fd).__name__}")
-        self._fds = tuple(dict.fromkeys(fds))
+        self._members = dict.fromkeys(fds)
+        self._fds = tuple(self._members)
         self._index = None
         mentioned = _attrset(_mentioned(self._fds))
         if universe is None:
@@ -579,7 +584,7 @@ class FDSet:
         return self._fds[index]
 
     def __contains__(self, fd: object) -> bool:
-        return fd in self._fds
+        return isinstance(fd, FD) and fd in self._members
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -615,10 +620,10 @@ class FDSet:
         """Whether every relation satisfying this set satisfies ``fd``.
 
         Decided semantically: ``fd.rhs`` must lie inside the closure of
-        ``fd.lhs``.
+        ``fd.lhs``.  A member of this set is implied without a closure.
         """
         _require_within(fd.attributes, self._universe, "dependency attributes outside the universe")
-        return self._closure_index().close(fd.lhs, target=fd.rhs)
+        return fd in self._members or self._closure_index().close(fd.lhs, target=fd.rhs)
 
     def _closure_index(self) -> _ClosureIndex:
         index = self._index
@@ -627,8 +632,13 @@ class FDSet:
         return index
 
     def _covers(self, other: "FDSet") -> bool:
+        """Whether this set implies every member of ``other``; only the
+        members this set does not state are closed."""
+        unstated = [fd for fd in other._fds if fd not in self._members]
+        if not unstated:
+            return True
         close = self._closure_index().close
-        return all(close(fd.lhs, target=fd.rhs) for fd in other)
+        return all(close(fd.lhs, target=fd.rhs) for fd in unstated)
 
     def equivalent(self, other: "FDSet") -> bool:
         """Whether the two sets are satisfied by exactly the same relations.

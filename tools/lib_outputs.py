@@ -11,7 +11,12 @@ outside them.  Each function family (keys, every ``is_prime``,
 ``find_key``, the projection onto every scheme, both checks, both
 decompositions and the four covers) is hashed on its own.  So are
 ``closure`` and ``implies`` over seeded dependency sets of up to 30
-attributes, ``parse_schema`` and ``parse_fd_text`` over seeded messy
+attributes, ``equivalent`` both ways between seeded dependency sets of
+up to 20 attributes and five rewrites of each (its members reordered,
+one dropped, one split into one-attribute right sides, two merged, and
+a random dependency added), ``implies member`` asking each such set
+about every member of each of its rewrites, most of which it states
+itself, ``parse_schema`` and ``parse_fd_text`` over seeded messy
 documents: invalid and reserved names, stray commas, both arrows,
 comments, repeated lines, and list texts repeated at different offsets,
 ``oracle_implies`` over seeded dependency sets of 0-12 attributes under
@@ -77,6 +82,8 @@ WIDE_ORACLES = 50
 WIDE_ORACLE_WIDTH = 15
 LABS = 600
 LAB_WIDTH = 6
+REWRITES = 500
+REWRITE_WIDTH = 20
 BAD_NAMES = ("9B", "A-B", "\u00e9", "__C", "__D")
 ARROWS = ("->", "->", "\u2192")
 
@@ -118,6 +125,40 @@ def random_kernel(rng):
     for _ in range(4):
         yield "closure", partial(sigma.closure, rng.sample(pool, rng.randint(0, min(4, len(pool)))))
         yield "implies", partial(sigma.implies, FD(_side(rng, pool, 0), _side(rng, pool, 0)))
+
+
+def rewrites(rng, sigma):
+    """Five rewrites of ``sigma``'s members: reordered, one dropped, one
+    split into one-attribute right sides, two merged into one, and a
+    random dependency added.  The ones that need more members than
+    ``sigma`` has are left out."""
+    fds = list(sigma)
+    pool = list(sigma.universe)
+    yield rng.sample(fds, len(fds))
+    if fds:
+        i = rng.randrange(len(fds))
+        yield fds[:i] + fds[i + 1 :]
+        i = rng.randrange(len(fds))
+        yield fds[:i] + [FD(fds[i].lhs, [a]) for a in fds[i].rhs] + fds[i + 1 :]
+    if len(fds) >= 2:
+        i, j = sorted(rng.sample(range(len(fds)), 2))
+        merged = FD(fds[i].lhs | fds[j].lhs, fds[i].rhs | fds[j].rhs)
+        yield fds[:i] + [merged] + fds[i + 1 : j] + fds[j + 1 :]
+    yield fds + [FD(_side(rng, pool, 0), _side(rng, pool, 0))]
+
+
+def random_rewrite(rng):
+    """A dependency set of 1-20 attributes, asked whether it is
+    equivalent to each of its rewrites, both ways, and whether it
+    implies each member of each rewrite."""
+    pool = [f"E{i:02d}" for i in range(rng.randint(1, REWRITE_WIDTH))]
+    sigma = random_fds(rng, pool)
+    for fds in rewrites(rng, sigma):
+        other = FDSet(fds, universe=pool)
+        yield "equivalent", partial(sigma.equivalent, other)
+        yield "equivalent", partial(other.equivalent, sigma)
+        for fd in other:
+            yield "implies member", partial(sigma.implies, fd)
 
 
 def random_oracle(rng, low, high, **limit):
@@ -257,6 +298,7 @@ def main() -> int:
         for k in range(WIDE_ORACLES)
     ]
     inputs += [random_lab(random.Random(40000 + k)) for k in range(LABS)]
+    inputs += [random_rewrite(random.Random(50000 + k)) for k in range(REWRITES)]
     for k, asked in enumerate(inputs):
         for name, call in asked:
             try:
