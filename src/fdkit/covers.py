@@ -92,10 +92,11 @@ def project_fds(sigma: FDSet, x: AttrsLike, limit: int = DEFAULT_LIMIT) -> FDSet
 
     Takes the left sides ``S`` over subsets of ``x`` in (size, canonical)
     order, emits ``S -> img(S) - S``, where ``img(S)`` is
-    ``closure(S) & x``, and compresses the collected set with
-    :func:`nonredundant_cover`.  The result's universe is ``x``.  The
-    left sides that cannot change the sweep's output are skipped before
-    it (see :meth:`~fdkit.fds._Lattice.cover`).
+    ``closure(S) & x``, and drops, in that order, each one the rest
+    imply, by the non-redundancy sweep.  The result's universe is
+    ``x``.  The left sides that cannot change the sweep's output are
+    skipped before it (see :meth:`~fdkit.fds._Lattice.cover` and
+    :meth:`~fdkit.fds._Lattice.project`).
 
     Exponential by design in the number of attributes of ``x`` that are
     some dependency's left side, the only ones whose subsets are
@@ -106,5 +107,4 @@ def project_fds(sigma: FDSet, x: AttrsLike, limit: int = DEFAULT_LIMIT) -> FDSet
     _require_within(x, sigma.universe, "projection attributes outside the universe")
     check_limit("projection", len(x), limit)
     lattice = _Lattice(sigma)
-    out = [FD(lattice.attrs(lhs), lattice.attrs(rhs)) for lhs, rhs in lattice.cover(lattice.mask(x))]
-    return nonredundant_cover(FDSet(out, universe=x))
+    return lattice.project(lattice.mask(x))

@@ -15,7 +15,7 @@ from .covers import canonical_cover, nonredundant_cover, project_fds, reduced_co
 from .errors import DEFAULT_LIMIT, UniverseMismatchError, check_limit
 from .fds import Attribute, AttributeSet, AttrsLike, DatabaseSchema, FDSet, RelationScheme
 from .fds import _Lattice, _Record, _require_within
-from .instances import Relation, _chase, is_lossless_on
+from .instances import Relation, _chase
 
 __all__ = [
     "Violation",
@@ -231,10 +231,10 @@ def _lucchesi_osborn(lattice: _Lattice, full: int, cover: Iterable[tuple]) -> It
         met = len(keys)
 
 
-def _first_violation(lattice: _Lattice, scheme: RelationScheme, nonprime_only: bool):
-    """First determinant of the scheme that is not a superkey, scanning
-    subsets in (size, canonical) order.  Returns (determinant, dependents)
-    or None.
+def _first_violation(lattice: _Lattice, full: int, nonprime_only: bool):
+    """First determinant of the scheme ``full`` that is not a superkey,
+    scanning subsets in (size, canonical) order.  Returns the masks
+    ``(determinant, dependents)``, or None.
 
     With ``nonprime_only`` a determinant counts only when it determines a
     nonprime attribute of the scheme, and the dependents shrink to the
@@ -255,7 +255,6 @@ def _first_violation(lattice: _Lattice, scheme: RelationScheme, nonprime_only: b
     either way.  A narrower scheme's BCNF check only scans: its cover
     would cost a whole scan before the scan that stops at the witness.
     """
-    full = lattice.mask(scheme.attrs)
     primes = 0
     if nonprime_only or not lattice.used & ~full:
         cover = list(_cover(lattice, full))
@@ -277,7 +276,7 @@ def _first_violation(lattice: _Lattice, scheme: RelationScheme, nonprime_only: b
         if dependents:
             if nonprime_only:
                 dependents &= -dependents
-            return lattice.attrs(s), lattice.attrs(dependents)
+            return s, dependents
     return None
 
 
@@ -290,9 +289,9 @@ def _check_normal_form(schema: DatabaseSchema, limit: int, form: str) -> NormalF
     witnesses = []
     for index, scheme in enumerate(schema.schemes):
         check_limit(f"{form.upper()} check of scheme {index}", len(scheme.attrs), limit)
-        found = _first_violation(lattice, scheme, nonprime_only)
+        found = _first_violation(lattice, lattice.mask(scheme.attrs), nonprime_only)
         if found is not None:
-            witnesses.append(Violation(index, *found, reason))
+            witnesses.append(Violation(index, *map(lattice.attrs, found), reason))
     return NormalFormReport(form, not witnesses, tuple(witnesses))
 
 
@@ -329,31 +328,33 @@ def bcnf_decompose(schema: DatabaseSchema, limit: int = DEFAULT_LIMIT) -> Databa
     Each step picks the first violation in (scheme index, canonical subset
     order), splits off the violating determinant with everything it
     determines inside the scheme, and keeps the rest: the scheme is
-    replaced by ``closure(X) & attrs`` and ``attrs - dependents``.  Each
-    binary step is lossless because the first part's seed determines the
-    overlap.  Local dependency sets are recomputed as projections of the
-    combined dependencies.  Dependency preservation is not guaranteed;
-    compare the result against the original with :func:`check_represents`.
+    replaced by ``closure(X) & attrs`` and ``attrs - dependents``, and
+    the first part is split fully before the second.  Each binary step
+    is lossless because the first part's seed determines the overlap.
+    The splits read only attribute sets, as masks over one lattice of the
+    combined dependencies.  A scheme that never splits is kept as it is;
+    each final part of one that does gets, once, the projection of the
+    combined dependencies onto it.  Dependency preservation is not
+    guaranteed; compare the result against the original with
+    :func:`check_represents`.
     """
-    sigma = schema.global_fds()
-    lattice = _Lattice(sigma)
-    schemes = list(schema.schemes)
-    i = 0
-    while i < len(schemes):
-        scheme = schemes[i]
-        check_limit(f"BCNF decomposition of scheme {i}", len(scheme.attrs), limit)
-        found = _first_violation(lattice, scheme, nonprime_only=False)
-        if found is None:
-            i += 1
-            continue
-        x, dependents = found
-        part1 = x | dependents
-        part2 = scheme.attrs - dependents
-        schemes[i : i + 1] = [
-            RelationScheme(part1, project_fds(sigma, part1, limit=limit)),
-            RelationScheme(part2, project_fds(sigma, part2, limit=limit)),
-        ]
-    return DatabaseSchema(tuple(schemes))
+    lattice = _Lattice(schema.global_fds())
+    out = []
+    for scheme in schema.schemes:
+        check_limit(f"BCNF decomposition of scheme {len(out)}", len(scheme.attrs), limit)
+        todo, parts = [lattice.mask(scheme.attrs)], []
+        while todo:
+            full = todo.pop()
+            if found := _first_violation(lattice, full, nonprime_only=False):
+                s, dependents = found
+                todo += [full & ~dependents, s | dependents]
+            else:
+                parts.append(full)
+        if len(parts) == 1:
+            out.append(scheme)
+        else:
+            out += [RelationScheme(lattice.attrs(p), lattice.project(p)) for p in parts]
+    return DatabaseSchema(tuple(out))
 
 
 def synthesize_3nf(
@@ -406,17 +407,18 @@ def check_represents(schema: DatabaseSchema, universal: RelationScheme) -> Repre
     Dependency preservation is decided exactly: the union of the local
     dependency sets must be equivalent to the universal one.  So is
     losslessness, by the tableau chase of the schema's parts under the
-    universal dependencies: the chased tableau satisfies them, and it
-    joins back from its projections exactly when the decomposition is
-    lossless.  Otherwise it is returned as the counterexample.
+    universal dependencies (see :func:`~fdkit.instances._chase`): the
+    decomposition is lossless exactly when the chased tableau holds the
+    distinguished row, and no projection is joined.  Otherwise the
+    tableau, which satisfies the universal dependencies and does not
+    join back from its projections, is returned as the counterexample.
     """
     if schema.universe != universal.attrs:
         raise UniverseMismatchError(
             f"schema universe {schema.universe} differs from universal attrs {universal.attrs}"
         )
     preserved = schema.global_fds().equivalent(universal.fds)
-    parts = [s.attrs for s in schema.schemes]
-    tableau = _chase(universal.fds, parts)
-    if is_lossless_on(tableau, parts):
+    tableau, lossless = _chase(universal.fds, [s.attrs for s in schema.schemes])
+    if lossless:
         return RepresentsReport(preserved, "no-counterexample-found", None)
     return RepresentsReport(preserved, "counterexample", tableau)

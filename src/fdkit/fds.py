@@ -340,9 +340,10 @@ class _Lattice:
 
     A scheme that holds its dependencies, one whose mask covers ``used``,
     has ``pairs`` as a cover of its own dependencies; any other scheme
-    has :meth:`cover`, built by one scan.  The scan's map of the
-    subsets one size smaller, ``prev``, is read only here, by
-    :meth:`cover`.
+    has :meth:`cover`, built by one scan, and :meth:`project` sweeps
+    that cover into the projection of ``sigma`` onto the scheme.  The
+    scan's map of the subsets one size smaller, ``prev``, is read only
+    here, by :meth:`cover`.
     """
 
     __slots__ = ("names", "bit", "pairs", "used", "left", "waiting", "bottom")
@@ -522,6 +523,13 @@ class _Lattice:
                 rest ^= b
             if image & ~given:
                 yield s, image & ~s
+
+    def project(self, full: int) -> "FDSet":
+        """The projection of ``sigma`` onto the scheme ``full``: the
+        pairs of :meth:`cover` as dependencies, in scan order, after the
+        greedy non-redundancy sweep.  Its universe is the scheme."""
+        fds = [FD(self.attrs(lhs), self.attrs(rhs)) for lhs, rhs in self.cover(full)]
+        return FDSet(_ClosureIndex(fds).sweep(), universe=self.attrs(full))
 
 
 class FDSet:

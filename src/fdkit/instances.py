@@ -487,23 +487,29 @@ def _unify(sigma: FDSet, rows: list) -> list:
         rows = [tuple(keep if t == drop else t for t in values) for values in rows]
 
 
-def _chase(sigma: FDSet, parts: Sequence[AttributeSet]) -> Relation:
+def _chase(sigma: FDSet, parts: Sequence[AttributeSet]) -> tuple:
     """The chased tableau of the decomposition of ``sigma``'s universe
-    into ``parts`` (Aho, Beeri & Ullman, TODS 1979).
+    into ``parts``, and whether the decomposition is lossless (Aho,
+    Beeri & Ullman, TODS 1979).  The parts must cover the universe.
 
     The tableau has one value tuple per part: the part's own attributes
     carry the attribute's bare name, every other cell a token of its
     own.  :func:`_unify` repairs it into a relation ``T`` that satisfies
-    ``sigma``, and the decomposition is lossless exactly when
-    ``is_lossless_on(T, parts)``; otherwise ``T`` itself is a lossy
-    instance.
+    ``sigma``.  A repair renames a token everywhere, so in each column
+    the rows of the parts holding that attribute still share one token,
+    though not always the bare name.  Those tokens make up the
+    distinguished row, and the decomposition is lossless exactly when
+    ``T`` holds it; no projection of ``T`` is joined.  Otherwise ``T``
+    itself is a lossy instance: the join of its projections holds the
+    distinguished row.
     """
     attrs = tuple(sigma.universe)
-    rows = [
-        tuple(a.name if a in part else f"{a.name}.{i}" for a in attrs)
-        for i, part in enumerate(parts)
-    ]
-    return _relation(attrs, _unify(sigma, rows))
+    rows = _unify(
+        sigma,
+        [tuple(a.name if a in part else f"{a.name}.{i}" for a in attrs) for i, part in enumerate(parts)],
+    )
+    distinguished = tuple(next(r[c] for r, p in zip(rows, parts) if a in p) for c, a in enumerate(attrs))
+    return _relation(attrs, rows), distinguished in rows
 
 
 def _fixpoint(sigma: FDSet, seed: Iterable[Attribute]) -> set:

@@ -3,6 +3,8 @@ representation checking."""
 
 import hashlib
 import random
+import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -32,6 +34,9 @@ from fdkit import (
     reduced_cover,
     synthesize_3nf,
 )
+
+from fdkit.fds import _Lattice
+from fdkit.instances import _chase
 
 from util import LETTERS, fd, fdset, random_fdset
 
@@ -315,6 +320,65 @@ class TestBcnfDecompose:
                 instance = random_satisfying_instance(sigma, rng)
                 assert is_lossless_on(instance, parts)
 
+    def test_outputs_are_unchanged(self):
+        # deep splits of seeded schemas of 10-16 attributes, refusals
+        # included, with each scheme's name, attributes and dependencies
+        rng = random.Random(73)
+        digest = hashlib.sha256()
+        refused = deep = 0
+        for _ in range(200):
+            names = [f"A{i:02d}" for i in range(rng.randint(10, 16))]
+            fds = [
+                FD(rng.sample(names, rng.randint(1, 2)), rng.sample(names, rng.randint(1, 3)))
+                for _ in range(rng.randint(4, len(names)))
+            ]
+            whole = RelationScheme(names, FDSet(fds, universe=names), name="U")
+            narrower = RelationScheme(rng.sample(names, rng.randint(2, len(names))), (), name="N")
+            schema = DatabaseSchema((whole, narrower))
+            try:
+                out = bcnf_decompose(schema, limit=rng.choice((12, 20)))
+            except LimitExceededError as exc:
+                refused += 1
+                digest.update(f"{exc}\n".encode())
+                continue
+            deep += len(out.schemes) >= 5
+            for s in out.schemes:
+                digest.update(f"{s.name} {' '.join(s.attrs.names)} | {s.fds}\n".encode())
+            digest.update(b"--\n")
+        assert refused >= 50 and deep >= 100
+        assert digest.hexdigest() == "5e5c20aa39bff5554a0bb7a7662f7862a6ac734733d0baf51a6648921b0b3b76"
+
+    def test_builds_one_lattice_and_projects_each_final_part_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, method):
+            def call(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+
+            return call
+
+        monkeypatch.setattr(_Lattice, "__init__", counted("lattice", _Lattice.__init__))
+        monkeypatch.setattr(_Lattice, "cover", counted("cover", _Lattice.cover))
+        kept = universal("B C", "B -> C")
+        schema = DatabaseSchema((universal("A B C D E F", "A -> B", "B -> C", "D -> E"), kept))
+        out = bcnf_decompose(schema)
+        assert [s.attrs for s in out.schemes] == [
+            AttributeSet("B C"),
+            AttributeSet("A B"),
+            AttributeSet("D E"),
+            AttributeSet("A D F"),
+            AttributeSet("B C"),
+        ]
+        assert out.schemes[-1] is kept
+        assert calls == {"lattice": 1, "cover": 4}
+
+    def test_refusal_after_a_split_names_the_output_index(self):
+        schema = DatabaseSchema((universal("A B C", "A -> B"), universal("D E F G H I")))
+        with pytest.raises(LimitExceededError) as info:
+            bcnf_decompose(schema, limit=5)
+        assert str(info.value) == "BCNF decomposition of scheme 2 refused: size 6 exceeds the limit of 5"
+
 
 class TestSynthesize3nf:
     def test_chain_produces_two_schemes_and_drops_the_key_scheme(self):
@@ -413,10 +477,18 @@ class TestSynthesize3nf:
 class TestCheckRepresents:
     def test_universal_scheme_represents_itself(self):
         uni = universal("A B C", "A -> B")
-        report = check_represents(DatabaseSchema((uni,)), uni)
-        assert report.ok
-        assert report.dependency_preserving
-        assert report.lossless_verdict == "no-counterexample-found"
+        # under -> A the chase renames the second row's bare A to the first
+        # row's token, so no row holds every bare name, yet the split is lossless
+        unit = universal("A B", "-> A")
+        cases = [
+            (DatabaseSchema((uni,)), uni),
+            (DatabaseSchema((universal("B"), universal("A", "-> A"))), unit),
+        ]
+        for schema, whole in cases:
+            report = check_represents(schema, whole)
+            assert report.ok
+            assert report.dependency_preserving
+            assert report.lossless_verdict == "no-counterexample-found"
 
     def test_disjoint_halves_without_dependencies_lose_rows(self):
         uni = universal("A B C D")
@@ -454,6 +526,19 @@ class TestCheckRepresents:
         assert report.counterexample.satisfies_all(uni.fds)
         assert not is_lossless_on(report.counterexample, parts)
 
+    def test_many_singleton_parts_are_answered_without_a_join(self):
+        for n in (9, 40):
+            names = [f"S{i:02d}" for i in range(n)]
+            parts = [AttributeSet([a]) for a in names]
+            start = time.perf_counter()
+            report = check_represents(without_fds(parts), universal(names))
+            assert time.perf_counter() - start < 1
+            assert report.lossless_verdict == "counterexample"
+            # joining all n projections builds n ** (n - 1) rows; the join of
+            # the projections onto a coarser split lies inside that join, so
+            # the coarser split being lossy shows that these parts are too
+            assert not is_lossless_on(report.counterexample, [parts[0], AttributeSet(names[1:])])
+
     def test_chase_agrees_with_the_closure_test_and_with_sampling(self):
         rng = random.Random(47)
         binary = lossy = sampled_lossy = 0
@@ -469,6 +554,8 @@ class TestCheckRepresents:
             parts = [AttributeSet(p) for p in parts if p]
             report = check_represents(without_fds(parts), uni)
             lossless = report.lossless_verdict == "no-counterexample-found"
+            tableau, held = _chase(sigma, parts)
+            assert held == lossless == is_lossless_on(tableau, parts)
             if lossless:
                 assert report.counterexample is None
             else:

@@ -22,7 +22,11 @@ comments, repeated lines, and list texts repeated at different offsets,
 ``oracle_implies`` over seeded dependency sets of 0-12 attributes under
 the default limit and of 13-15 under a limit of 15, and the verdicts of
 ``is_lossless_on`` and ``check_represents`` on seeded random instances
-and decompositions of up to 6 attributes.
+and decompositions of up to 6 attributes, ``bcnf_decompose deep`` over
+seeded schemas of 12-16 attributes whose whole scheme splits many times,
+beside a narrower scheme, and ``check_represents parts`` over seeded
+decompositions of 3-8 attributes into 3-7 parts, many of them of one
+attribute.
 Prints one line per family: the sha256 of every answer it gave, in
 order, then the family's name and the number of calls.
 
@@ -84,6 +88,10 @@ LABS = 600
 LAB_WIDTH = 6
 REWRITES = 500
 REWRITE_WIDTH = 20
+DEEP_SPLITS = 150
+DEEP_WIDTH = 16
+PARTED = 400
+MAX_PARTS = 7
 BAD_NAMES = ("9B", "A-B", "\u00e9", "__C", "__D")
 ARROWS = ("->", "->", "\u2192")
 
@@ -185,6 +193,31 @@ def random_lab(rng):
     yield "is_lossless_on", partial(is_lossless_on, instance, parts)
     schema = DatabaseSchema([RelationScheme(part, project_fds(sigma, part)) for part in parts])
     yield "check_represents", lambda: check_represents(schema, RelationScheme(pool, sigma)).to_dict()
+
+
+def random_deep_split(rng):
+    """A dependency set of 12-16 attributes, about one dependency per
+    attribute with one or two on the left, so that the whole scheme
+    splits many times, and a narrower scheme beside it."""
+    pool = [f"B{i:02d}" for i in range(rng.randint(DEEP_WIDTH - 4, DEEP_WIDTH))]
+    fds = [FD(rng.sample(pool, rng.randint(1, 2)), _side(rng, pool, 1)) for _ in range(rng.randint(4, len(pool)))]
+    narrower = RelationScheme(rng.sample(pool, rng.randint(2, len(pool))), (), name="N")
+    schema = DatabaseSchema([RelationScheme(pool, FDSet(fds, universe=pool), name="U"), narrower])
+    yield "bcnf_decompose deep", partial(bcnf_decompose, schema)
+
+
+def random_parts(rng):
+    """A decomposition of a random dependency set of 3-8 attributes into
+    3-7 covering parts, each of one attribute two times in five, with
+    the projected dependencies: how it represents the whole scheme."""
+    pool = [f"P{i}" for i in range(rng.randint(3, 8))]
+    sigma = random_fds(rng, pool)
+    size = rng.randint(3, MAX_PARTS)
+    parts = [rng.sample(pool, 1 if rng.random() < 0.4 else rng.randint(1, len(pool))) for _ in range(size - 1)]
+    rest = [a for a in pool if not any(a in part for part in parts)]
+    parts.append(rest or rng.sample(pool, 1))
+    schema = DatabaseSchema([RelationScheme(part, project_fds(sigma, part)) for part in parts])
+    yield "check_represents parts", lambda: check_represents(schema, RelationScheme(pool, sigma)).to_dict()
 
 
 def random_list(rng, good, mess) -> str:
@@ -299,6 +332,8 @@ def main() -> int:
     ]
     inputs += [random_lab(random.Random(40000 + k)) for k in range(LABS)]
     inputs += [random_rewrite(random.Random(50000 + k)) for k in range(REWRITES)]
+    inputs += [random_deep_split(random.Random(60000 + k)) for k in range(DEEP_SPLITS)]
+    inputs += [random_parts(random.Random(70000 + k)) for k in range(PARTED)]
     for k, asked in enumerate(inputs):
         for name, call in asked:
             try:
