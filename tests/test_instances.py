@@ -469,7 +469,8 @@ class TestOracleImplies:
         for other in [sigma] + sigmas:
             instance = random_satisfying_instance(other, rng, max_witnesses=4, max_merges=4)
             assert instance.satisfies_all(other)
-            assert _chase(other, [AttributeSet([a]) for a in other.universe])[0].satisfies_all(other)
+            tableau = _chase(other, [AttributeSet([a]) for a in other.universe])
+            assert tableau is None or tableau.satisfies_all(other)
 
     def test_blocks_match_the_pattern_loop_and_the_closure_kernel(self):
         # widths 13-15 take two to eight blocks of 4096 patterns
@@ -660,7 +661,7 @@ class TestCanonicalOrder:
         _assert_all_alike(_built_every_way(tuples) + joins, tuples)
 
     def test_chase_output_agrees(self):
-        chased = _chase(FDSet((), universe="A B C D"), [AttributeSet("B D"), AttributeSet("A C")])[0]
+        chased = _chase(FDSet((), universe="A B C D"), [AttributeSet("B D"), AttributeSet("A C")])
         tuples = [("A.0", "B", "C.0", "D"), ("A", "B.1", "C", "D.1")]
         _assert_all_alike(_built_every_way(tuples) + [chased], tuples)
 
@@ -719,9 +720,10 @@ class TestPinnedOutputs:
         assert digest.hexdigest() == "14f5818e3ab78269688219f68918c4f8853880f3f291e581cfdca3f04e09f2bd"
 
     def test_chase_and_witness_outputs_are_unchanged(self):
-        # chased tableaux and two-row witnesses of seeded decompositions,
-        # byte for byte as the engine gave them when the chase repaired
-        # dict rows
+        # the counterexamples of seeded decompositions, a marker for each
+        # lossless one, and two-row witnesses, byte for byte as the chase
+        # gave them when it first named each class by the distinguished
+        # symbol or its lowest row
         rng = random.Random(61)
         digest = hashlib.sha256()
         for _ in range(1000):
@@ -731,6 +733,7 @@ class TestPinnedOutputs:
             for a in names:
                 rng.choice(parts).add(a)
             parts = [AttributeSet(p) for p in parts]
-            digest.update(_chase(sigma, parts)[0].to_csv().encode())
+            chased = _chase(sigma, parts)
+            digest.update(b"lossless" if chased is None else chased.to_csv().encode())
             digest.update(two_tuple_witness(sigma, random_subset(rng, names)).to_csv().encode())
-        assert digest.hexdigest() == "a8673038919407972339113bc486fbc80afc8a907084947bd874e82a7996cd9e"
+        assert digest.hexdigest() == "300ed9f4b63b1b76c6954c5ddec0351ce56e3db0a0d023aa42be9fbe694b44af"

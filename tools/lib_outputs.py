@@ -26,7 +26,9 @@ and decompositions of up to 6 attributes, ``bcnf_decompose deep`` over
 seeded schemas of 12-16 attributes whose whole scheme splits many times,
 beside a narrower scheme, and ``check_represents parts`` over seeded
 decompositions of 3-8 attributes into 3-7 parts, many of them of one
-attribute.
+attribute, and ``check_represents chains`` over the 3NF syntheses of
+seeded chains of 30-80 attributes, with the dependencies in forward and
+in reversed order, each whole and with one inner scheme dropped.
 Prints one line per family: the sha256 of every answer it gave, in
 order, then the family's name and the number of calls.
 
@@ -92,6 +94,8 @@ DEEP_SPLITS = 150
 DEEP_WIDTH = 16
 PARTED = 400
 MAX_PARTS = 7
+CHAINS = 40
+CHAIN_WIDTHS = (30, 80)
 BAD_NAMES = ("9B", "A-B", "\u00e9", "__C", "__D")
 ARROWS = ("->", "->", "\u2192")
 
@@ -220,6 +224,22 @@ def random_parts(rng):
     yield "check_represents parts", lambda: check_represents(schema, RelationScheme(pool, sigma)).to_dict()
 
 
+def random_chain(rng):
+    """A chain ``C00 -> C01 -> ...`` of 30-80 attributes, its links in
+    forward and in reversed order: how the 3NF synthesis represents the
+    whole scheme, and how it does without the scheme of one inner link,
+    which is lossy."""
+    pool = [f"C{i:02d}" for i in range(rng.randint(*CHAIN_WIDTHS))]
+    links = [FD([x], [y]) for x, y in zip(pool, pool[1:])]
+    k = rng.randrange(1, len(pool) - 2)
+    for fds in (links, links[::-1]):
+        universal = RelationScheme(pool, FDSet(fds, universe=pool))
+        synthesized = synthesize_3nf(universal)
+        dropped = DatabaseSchema([s for s in synthesized if s.attrs != AttributeSet(pool[k : k + 2])])
+        for schema in (synthesized, dropped):
+            yield "check_represents chains", lambda s=schema, u=universal: check_represents(s, u).to_dict()
+
+
 def random_list(rng, good, mess) -> str:
     """A list text of 1-3 names, now and then none, joined by mixed
     separators; with ``mess``, now and then a bad name or a leading or
@@ -334,6 +354,7 @@ def main() -> int:
     inputs += [random_rewrite(random.Random(50000 + k)) for k in range(REWRITES)]
     inputs += [random_deep_split(random.Random(60000 + k)) for k in range(DEEP_SPLITS)]
     inputs += [random_parts(random.Random(70000 + k)) for k in range(PARTED)]
+    inputs += [random_chain(random.Random(80000 + k)) for k in range(CHAINS)]
     for k, asked in enumerate(inputs):
         for name, call in asked:
             try:
