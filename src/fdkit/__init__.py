@@ -18,7 +18,11 @@ _homes = {}
 
 def __getattr__(name: str):
     # an export is read from its home module on every access, never stored
-    # here, so a name patched and restored there reads the same here
+    # here, so a name patched and restored there reads the same here; a
+    # name whose home is known already costs one lookup before that read
+    home = _homes.get(name)
+    if home is not None:
+        return getattr(home, name)
     if name in _MODULES:
         return importlib.import_module(f"{__name__}.{name}")
     modules = map(__getattr__, _MODULES)

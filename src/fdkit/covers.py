@@ -15,7 +15,6 @@ from .fds import (
     AttrsLike,
     FDSet,
     _ClosureIndex,
-    _Lattice,
     _require_within,
 )
 
@@ -106,5 +105,5 @@ def project_fds(sigma: FDSet, x: AttrsLike, limit: int = DEFAULT_LIMIT) -> FDSet
     x = AttributeSet(x)
     _require_within(x, sigma.universe, "projection attributes outside the universe")
     check_limit("projection", len(x), limit)
-    lattice = _Lattice(sigma)
+    lattice = sigma._subset_lattice()
     return lattice.project(lattice.mask(x))

@@ -145,7 +145,7 @@ def enumerate_keys(scheme: RelationScheme, sigma: FDSet, limit: int = DEFAULT_LI
     side.  Schemes beyond ``limit`` attributes are refused either way.
     """
     check_limit("key enumeration", len(scheme.attrs), limit)
-    lattice = _Lattice(sigma)
+    lattice = sigma._subset_lattice()
     full = lattice.mask(scheme.attrs)
     return frozenset(map(lattice.attrs, _lucchesi_osborn(lattice, full, _cover(lattice, full))))
 
@@ -165,7 +165,7 @@ def is_prime(
     a = AttributeSet([a])
     _require_within(a, scheme.attrs, "attributes outside the scheme")
     check_limit("key enumeration", len(scheme.attrs), limit)
-    lattice = _Lattice(sigma)
+    lattice = sigma._subset_lattice()
     bit = lattice.mask(a)
     full = lattice.mask(scheme.attrs)
     return any(bit & key for key in _lucchesi_osborn(lattice, full, _cover(lattice, full)))
@@ -376,9 +376,11 @@ def synthesize_3nf(
     are merged, exact duplicates collapse, and schemes whose attributes
     sit inside another scheme's are dropped (the key scheme included);
     ``verbatim=True`` skips all of that clean-up and returns the raw
-    per-dependency output.  Projection is exponential in the number of a
-    scheme's attributes that are some dependency's left side, and an
-    emitted scheme beyond ``limit`` attributes is refused.
+    per-dependency output.  Every scheme is projected from the one
+    subset lattice of the cover, compiled once per call.  Projection is
+    exponential in the number of a scheme's attributes that are some
+    dependency's left side, and an emitted scheme beyond ``limit``
+    attributes is refused.
     """
     delta = nonredundant_cover(reduced_cover(canonical_cover(universal.fds)))
     key = find_key(universal, delta)

@@ -25,7 +25,7 @@ import re
 from typing import Optional
 
 from .fds import FD, Attribute, AttributeSet, DatabaseSchema, FDSet, RelationScheme, _Record
-from .fds import _INTERNED, _NAME, _SPLIT, _attrset, _mentioned, _require_within, _split
+from .fds import _NAME, _SPLIT, _mentioned, _require_within, _split
 
 __all__ = [
     "Diagnostic",
@@ -160,7 +160,7 @@ class _Parser:
             return out
         names = _split(text)
         try:
-            out = _attrset([_INTERNED.get(name) or Attribute(name) for name in names])
+            out = AttributeSet(names)
         except ValueError:
             pass
         # ``out.isdisjoint``, not the reverse: an AttributeSet argument

@@ -43,7 +43,9 @@ class Attribute(str):
     Each name is built once and then shared.  An instance of a ``str``
     subclass carries its own copy of the text, about 100 bytes; sharing
     lets dependencies and parsed documents hold one object per name, and
-    building a name already known costs one ``dict.get``.  The shared
+    building a name already known costs one ``dict.get``;
+    :class:`AttributeSet` resolves a whole list of known names in one
+    pass over the table, without calling this class.  The shared
     table lets go of the names nothing else uses each time it has doubled
     since it last did (see :func:`_sweep`), so a process that meets ever
     new names holds at most about twice the names in use.
@@ -111,7 +113,10 @@ class AttributeSet(frozenset):
     or a single string that is split on commas and whitespace:
     ``AttributeSet("A B")`` equals ``AttributeSet(["A", "B"])``.  (A
     string without separators is one attribute, not a sequence of
-    characters.)
+    characters.)  Members that are all names already known resolve to
+    their attributes in one pass over the table :class:`Attribute`
+    shares; any other member is built, and checked, by
+    :class:`Attribute`.
 
     Iteration order is the sorted order of names, so rendering is
     deterministic.  The operators ``|``, ``&`` and ``-`` between two
@@ -134,6 +139,14 @@ class AttributeSet(frozenset):
             return members
         if isinstance(members, str):
             members = _split(members)
+        elif not isinstance(members, (list, tuple)):
+            members = list(members)
+        try:
+            known = list(map(_INTERNED.get, members))
+        except TypeError:  # an unhashable member, refused by Attribute below
+            known = [None]
+        if None not in known:
+            return _attrset(known)
         return _attrset(m if isinstance(m, Attribute) else Attribute(m) for m in members)
 
     @property
@@ -554,10 +567,13 @@ class FDSet:
     stays safe to share across threads: two threads racing to build it
     each build an equal one, and either may be kept.  It is not pickled.
     Redundancy runs the non-redundancy sweep, which changes the index it
-    runs on, so it builds a private one.
+    runs on, so it builds a private one.  The searches over subsets of
+    a scheme (projection, keys and primality) share one :class:`_Lattice`,
+    built and kept the same way, so projecting a set onto many schemes
+    compiles it once.
     """
 
-    __slots__ = ("_fds", "_members", "_universe", "_index")
+    __slots__ = ("_fds", "_members", "_universe", "_index", "_lattice")
 
     def __init__(self, fds: Iterable[FD] = (), universe: AttrsLike | None = None):
         fds = tuple(fds)
@@ -567,6 +583,7 @@ class FDSet:
         self._members = dict.fromkeys(fds)
         self._fds = tuple(self._members)
         self._index = None
+        self._lattice = None
         mentioned = _attrset(_mentioned(self._fds))
         if universe is None:
             self._universe = mentioned
@@ -638,6 +655,12 @@ class FDSet:
         if index is None:
             index = self._index = _ClosureIndex(self._fds)
         return index
+
+    def _subset_lattice(self) -> _Lattice:
+        lattice = self._lattice
+        if lattice is None:
+            lattice = self._lattice = _Lattice(self)
+        return lattice
 
     def _covers(self, other: "FDSet") -> bool:
         """Whether this set implies every member of ``other``; only the

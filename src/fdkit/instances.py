@@ -114,6 +114,10 @@ class Relation:
     Equality, hashing, projection, join and satisfaction work on those
     tuples; :class:`Row` objects are built only where rows are handed
     out: :attr:`rows`, iteration and :meth:`sorted_rows`.
+
+    The constructor checks each row as a :class:`Row` would.  Rows that
+    are plain dicts are checked once per key order: a later dict whose
+    keys come in an order already checked is read as it stands.
     """
 
     __slots__ = ("_scheme", "_tuples")
@@ -125,13 +129,19 @@ class Relation:
         # row of width 0 or 1 are in name order as they stand
         pick = itemgetter(*attrs) if len(attrs) > 1 else lambda values: tuple(values.values())
         collected = []
+        checked = set()  # the key orders of dict rows that passed the checks below
         for r in rows:
+            if type(r) is dict and tuple(r) in checked:
+                collected.append(pick(r))
+                continue
             row = r if isinstance(r, Row) else Row(r)
             if self._scheme != row._values.keys():
                 raise ValueError(
                     f"row scheme {row.scheme} does not match relation scheme {self._scheme}"
                 )
             collected.append(pick(row._values))
+            if type(r) is dict:
+                checked.add(tuple(r))
         self._tuples = frozenset(collected)
 
     @classmethod

@@ -173,6 +173,75 @@ class TestAttributeSet:
         assert type(back) is AttributeSet
         assert back == s and list(back) == list(s)
 
+    def test_agrees_with_building_every_member_by_attribute(self):
+        # known names resolve in one pass; the same inputs built member by
+        # member give the same set, or the same refusal
+        for members, container in _constructor_cases(random.Random(29)):
+            got = _outcome(AttributeSet, container(members))
+            want = _outcome(_generic_attrset, container(members))
+            assert got == want, (members, container)
+            if isinstance(got[0], AttributeSet):
+                assert all(type(a) is Attribute and a is Attribute(a) for a in got[0])
+
+
+class _Name(str):
+    """A ``str`` subclass, accepted as a name like ``str`` itself."""
+
+
+def _generic_attrset(members):
+    """:class:`AttributeSet` as built member by member: each member that
+    is not an attribute goes through :class:`Attribute`."""
+    if isinstance(members, AttributeSet):
+        return members
+    if isinstance(members, str):
+        members = fds._split(members)
+    return fds._attrset(m if isinstance(m, Attribute) else Attribute(m) for m in members)
+
+
+def _outcome(build, *args) -> tuple:
+    """What ``build(*args)`` returns, with its names in order, or the type
+    and message of what it raises."""
+    try:
+        value = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value, type(value), tuple(value)
+
+
+_fresh = iter(range(10**9))
+
+
+def _constructor_member(rng):
+    kind = rng.randrange(10)
+    if kind < 4:
+        return rng.choice(["A", "B", "C", Attribute("D")])
+    if kind == 4:
+        return f"never_seen_{next(_fresh)}"
+    if kind == 5:
+        return _Name(rng.choice(["A", f"never_seen_{next(_fresh)}"]))
+    return rng.choice(["9B", "", "A-B", 1, b"A", None, ["A"], 2.5])
+
+
+def _constructor_cases(rng):
+    """Seeded member lists, most of them of valid names, each in every
+    container that can hold it: a list, a tuple, a generator, a set and,
+    when every member is a ``str``, the text of their names."""
+    for _ in range(400):
+        size = rng.randrange(6)
+        if rng.random() < 0.5:
+            members = [rng.choice(["A", "B", "C", Attribute("D"), "A"]) for _ in range(size)]
+        else:
+            members = [_constructor_member(rng) for _ in range(size)]
+        yield members, list
+        yield members, tuple
+        yield members, lambda ms: (m for m in ms)
+        if all(isinstance(m, str) for m in members):
+            yield members, rng.choice([" ", ",", ", "]).join
+        try:
+            yield set(members), set
+        except TypeError:
+            pass
+
 
 class TestFD:
     def test_structural_equality(self):

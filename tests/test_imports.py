@@ -70,3 +70,18 @@ def test_a_name_reads_its_home_module_on_every_access():
         "home.synthesize_3nf = original\n"
         "assert fdkit.synthesize_3nf is original"
     )
+
+
+def test_a_name_whose_home_is_known_reads_it_on_every_access():
+    # once a name has been read, its home is known and answers it at once;
+    # a stand-in put there later, and the original put back, read through
+    loaded_by(
+        "import fdkit\n"
+        "import fdkit.fds as home\n"
+        "original = fdkit.FD\n"
+        "assert fdkit._homes['FD'] is home\n"
+        "home.FD = len\n"
+        "assert fdkit.FD is len\n"
+        "home.FD = original\n"
+        "assert fdkit.FD is original and fdkit.FD is home.FD"
+    )

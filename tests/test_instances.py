@@ -5,6 +5,9 @@ import hashlib
 import itertools
 import random
 import time
+from collections import Counter
+from collections.abc import Mapping
+from operator import itemgetter
 
 import pytest
 from hypothesis import given
@@ -78,6 +81,131 @@ class TestRelation:
     def test_sorted_rendering(self):
         r = Relation.from_rows("A B", [("1", "0"), ("0", "1")])
         assert r.to_csv() == "A,B\n0,1\n1,0\n"
+
+    def test_agrees_with_checking_every_row(self):
+        # a dict row whose key order passed is read as it stands; the same
+        # rows each checked as a Row give the same relation, or the same
+        # refusal at the same row
+        rng = random.Random(31)
+        kinds = Counter()
+        for _ in range(600):
+            scheme = rng.choice(["", "A", "A B", "A B C", "C B A D"])
+            rows = _constructor_rows(rng, AttributeSet(scheme).names)
+            got = _relation_outcome(Relation, scheme, rows)
+            assert got == _relation_outcome(_generic_relation, scheme, rows), (scheme, rows)
+            kinds[got[0] if isinstance(got[0], type) else "built"] += 1
+        assert kinds["built"] >= 200 and kinds[ValueError] >= 100 and kinds[TypeError] >= 20
+
+    def test_dict_rows_of_one_key_order_are_checked_once(self, monkeypatch):
+        built = Counter()
+        monkeypatch.setattr(Row, "__init__", _counted(built, Row.__init__))
+        rows = [{"B": i, "A": i % 3} for i in range(50)] + [{"A": 0, "B": 50}]
+        assert Relation("A B", rows) == Relation.from_rows("A B", [(r["A"], r["B"]) for r in rows])
+        assert built["calls"] == 2
+        with pytest.raises(ValueError, match="^row scheme A C does not match relation scheme A B$"):
+            Relation("A B", rows + [{"A": 0, "C": 1}])
+
+
+class _Mapped(Mapping):
+    """A read-only mapping that is not a ``dict``."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+class _SubDict(dict):
+    pass
+
+
+def _counted(counter, method):
+    def call(self, *args):
+        counter["calls"] += 1
+        return method(self, *args)
+
+    return call
+
+
+def _generic_row(assignment):
+    """A :class:`Row` whose every key goes through :class:`Attribute`."""
+    values = {}
+    for key, value in assignment.items():
+        a = key if isinstance(key, Attribute) else Attribute(key)
+        values[a] = value
+    row = object.__new__(Row)
+    row._values = values
+    row._hash = None
+    return row
+
+
+def _generic_relation(scheme, rows):
+    """A :class:`Relation` whose every row is checked as a :class:`Row`."""
+    scheme = AttributeSet(scheme)
+    attrs = tuple(scheme)
+    pick = itemgetter(*attrs) if len(attrs) > 1 else lambda values: tuple(values.values())
+    collected = []
+    for r in rows:
+        row = r if isinstance(r, Row) else _generic_row(r)
+        if scheme != row._values.keys():
+            raise ValueError(f"row scheme {row.scheme} does not match relation scheme {scheme}")
+        collected.append(pick(row._values))
+    return Relation.from_rows(scheme, collected)
+
+
+def _relation_outcome(build, scheme, rows) -> tuple:
+    """The relation built, with its stored tuples, or the type and message
+    of what building it raised."""
+    try:
+        rel = build(scheme, iter(rows))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return rel, rel._scheme.names, rel._tuples
+
+
+def _constructor_rows(rng, names) -> list:
+    """Up to eight seeded rows over ``names``: mostly dicts in two or three
+    key orders, now and then a :class:`Row`, a dict subclass, another
+    mapping, a row with a key missing, extra or misnamed, or a value that
+    cannot be hashed."""
+    orders = [rng.sample(names, len(names)) for _ in range(rng.randint(1, 3))]
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        keys = list(rng.choice(orders))
+        values = [rng.choice(["0", "1", 0, 1, (0,)]) for _ in keys]
+        flaw = rng.randrange(40)
+        if flaw == 0 and keys:
+            keys.pop()
+        elif flaw == 1:
+            keys.append(rng.choice(["Z", "A", "D"]))
+            values.append("0")
+        elif flaw == 2 and keys:
+            keys[rng.randrange(len(keys))] = rng.choice(["9B", 1, None, "", b"A"])
+        elif flaw == 3 and values:
+            values[rng.randrange(len(values))] = ["unhashable"]
+        elif flaw == 4:
+            keys = [Attribute(k) if rng.random() < 0.5 else _Key(k) for k in keys]
+        assignment = dict(zip(keys, values))
+        wrap = rng.randrange(12)
+        if wrap == 0:
+            assignment = _SubDict(assignment)
+        elif wrap == 1:
+            assignment = _Mapped(assignment)
+        elif wrap == 2 and flaw != 2:
+            assignment = Row(assignment)
+        rows.append(assignment)
+    return rows
+
+
+class _Key(str):
+    """A ``str`` subclass, accepted as a name like ``str`` itself."""
 
 
 class TestProjection:

@@ -28,7 +28,13 @@ beside a narrower scheme, and ``check_represents parts`` over seeded
 decompositions of 3-8 attributes into 3-7 parts, many of them of one
 attribute, and ``check_represents chains`` over the 3NF syntheses of
 seeded chains of 30-80 attributes, with the dependencies in forward and
-in reversed order, each whole and with one inner scheme dropped.
+in reversed order, each whole and with one inner scheme dropped, and
+``constructors``: ``AttributeSet``, ``FD``, ``Row``, ``Relation`` and
+``Relation.from_rows`` over seeded inputs, among them known, new and
+invalid names, non-``str`` and unhashable members, a ``str`` subclass,
+and dict rows in several key orders beside other mappings, ``Row``
+objects and rows with a missing, extra or misnamed key; a refusal is
+hashed as its ``type: message``.
 Prints one line per family: the sha256 of every answer it gave, in
 order, then the family's name and the number of calls.
 
@@ -43,6 +49,7 @@ Usage: python tools/lib_outputs.py
 import hashlib
 import random
 import sys
+from collections.abc import Mapping
 from functools import partial
 from pathlib import Path
 
@@ -54,7 +61,9 @@ from fdkit import (  # noqa: E402
     DatabaseSchema,
     FDSet,
     HittingSetInstance,
+    Relation,
     RelationScheme,
+    Row,
     bcnf_decompose,
     canonical_cover,
     check_3nf,
@@ -96,6 +105,8 @@ PARTED = 400
 MAX_PARTS = 7
 CHAINS = 40
 CHAIN_WIDTHS = (30, 80)
+CONSTRUCTORS = 1500
+CONSTRUCTOR_NAMES = ("A", "B", "C", "D", "__C")
 BAD_NAMES = ("9B", "A-B", "\u00e9", "__C", "__D")
 ARROWS = ("->", "->", "\u2192")
 
@@ -240,6 +251,116 @@ def random_chain(rng):
             yield "check_represents chains", lambda s=schema, u=universal: check_represents(s, u).to_dict()
 
 
+class _Name(str):
+    """A ``str`` subclass, which fdkit accepts as a name."""
+
+
+class _SubDict(dict):
+    """A ``dict`` subclass."""
+
+
+class _Mapped(Mapping):
+    """A mapping that is not a ``dict``."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+def _built(build, *args) -> str:
+    """A text for what ``build(*args)`` returns, or for its refusal as
+    ``type: message``, so that refusals are answers too."""
+    try:
+        value = build(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(value, Relation):
+        return repr((value.scheme, sorted(map(repr, value.rows))))
+    return repr(value)
+
+
+def _members(rng, tag) -> list:
+    """0-5 members, each most often a known name, else a name not seen
+    before, a ``str`` subclass, an invalid name or a value that is not a
+    ``str`` (unhashable now and then)."""
+    out = []
+    for i in range(rng.randrange(6)):
+        kind = rng.randrange(12)
+        if kind < 6:
+            out.append(rng.choice(CONSTRUCTOR_NAMES))
+        elif kind == 6:
+            out.append(f"F{tag}_{i}")
+        elif kind == 7:
+            out.append(_Name(rng.choice([*CONSTRUCTOR_NAMES, f"G{tag}_{i}"])))
+        else:
+            out.append(rng.choice(["9B", "", "A-B", 1, b"A", None, ["A"]]))
+    return out
+
+
+def _rows(rng, names) -> list:
+    """0-6 rows over ``names``: mostly dicts in one to three key orders,
+    now and then a dict subclass, another mapping or a ``Row``, and now
+    and then a key missing, added or misnamed, or an unhashable value."""
+    orders = [rng.sample(names, len(names)) for _ in range(rng.randint(1, 3))]
+    rows = []
+    for _ in range(rng.randrange(7)):
+        keys = list(rng.choice(orders))
+        values = [rng.choice(["0", "1", 0, 1, (0,)]) for _ in keys]
+        flaw = rng.randrange(30)
+        if flaw == 0 and keys:
+            keys.pop()
+        elif flaw == 1:
+            keys.append(rng.choice(["Z", "A"]))
+            values.append("1")
+        elif flaw == 2 and keys:
+            keys[rng.randrange(len(keys))] = rng.choice(["9B", 1, None, b"A"])
+        elif flaw == 3 and values:
+            values[rng.randrange(len(values))] = ["unhashable"]
+        row = dict(zip(keys, values))
+        wrap = rng.randrange(10)
+        if wrap == 0:
+            row = _Mapped(row)
+        elif wrap == 1:
+            row = _SubDict(row)
+        elif wrap == 2 and flaw != 2:
+            row = Row(row)
+        rows.append(row)
+    return rows
+
+
+def random_constructors(rng, k):
+    """``AttributeSet`` over seeded members in a list, a tuple, a
+    generator, a set and the text of their names, ``FD`` over two such
+    lists, and ``Row``, ``Relation`` and ``Relation.from_rows`` over
+    seeded rows of schemes of 0-4 attributes."""
+    members = _members(rng, f"{k}a")
+    yield "constructors", partial(_built, AttributeSet, members)
+    yield "constructors", partial(_built, AttributeSet, tuple(members))
+    yield "constructors", lambda: _built(AttributeSet, (m for m in members))
+    if sum(not isinstance(m, str) or not m.isidentifier() for m in members) <= 1:
+        # at most one bad member, so the one refused is not chosen by hash order
+        yield "constructors", partial(_built, lambda: AttributeSet(set(members)))
+    if all(isinstance(m, str) for m in members):
+        yield "constructors", partial(_built, AttributeSet, rng.choice([" ", ",", ", "]).join(members))
+    yield "constructors", partial(_built, FD, members, _members(rng, f"{k}b"))
+    scheme = rng.sample(CONSTRUCTOR_NAMES, rng.randint(0, 4))
+    rows = _rows(rng, scheme)
+    for row in rows:
+        yield "constructors", partial(_built, Row, row)
+    named = rng.choice([scheme, " ".join(scheme)])
+    yield "constructors", lambda: _built(Relation, named, iter(rows))
+    values = [tuple(r.values()) if isinstance(r, dict) else (0,) * len(scheme) for r in rows]
+    yield "constructors", partial(_built, Relation.from_rows, scheme, values)
+
+
 def random_list(rng, good, mess) -> str:
     """A list text of 1-3 names, now and then none, joined by mixed
     separators; with ``mess``, now and then a bad name or a leading or
@@ -355,6 +476,7 @@ def main() -> int:
     inputs += [random_deep_split(random.Random(60000 + k)) for k in range(DEEP_SPLITS)]
     inputs += [random_parts(random.Random(70000 + k)) for k in range(PARTED)]
     inputs += [random_chain(random.Random(80000 + k)) for k in range(CHAINS)]
+    inputs += [random_constructors(random.Random(90000 + k), k) for k in range(CONSTRUCTORS)]
     for k, asked in enumerate(inputs):
         for name, call in asked:
             try:
